@@ -433,6 +433,10 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
     """Certify a program's answer on this instance; repeat --runs times."""
     started = time.monotonic()
     cap, seed, jobs = ctx.obj["cap"], ctx.obj["seed"], ctx.obj["jobs"]
+    if k < 1:
+        raise InputError(f"--k must be at least 1, got {k}")
+    if runs < 1:
+        raise InputError(f"--runs must be at least 1, got {runs}")
     data, instance = _load_and_verify(path, cap)
     if not isinstance(instance, HspInstance):
         raise InputError("checkers take hidden-subgroup instances")

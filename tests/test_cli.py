@@ -182,3 +182,25 @@ def test_selftest_runs_clean():
     assert rep["counters"]["total_failures"] == 0
     names = {p["name"] for s in rep["outputs"]["suites"] for p in s["properties"]}
     assert "decision-checker-completeness" in names
+
+
+def _error_exit(args, stdin):
+    result = CliRunner().invoke(main, args, input=stdin)
+    json_lines = [l for l in result.output.splitlines() if l.startswith("{")]
+    return result.exit_code, json.loads(json_lines[0]) if json_lines else None
+
+
+def test_check_rejects_zero_runs():
+    planted = payload(run(["plant", "hsp", "--group", "s3", "--subgroup", "(1 2)"]))
+    code, error = _error_exit(["check", "--runs", "0"],
+                              json.dumps(planted["outputs"]["instance"]))
+    assert code == 2
+    assert "runs" in error["error"]
+
+
+def test_check_rejects_zero_k():
+    planted = payload(run(["plant", "hsp", "--group", "s3", "--subgroup", "(1 2)"]))
+    code, error = _error_exit(["check", "--k", "0"],
+                              json.dumps(planted["outputs"]["instance"]))
+    assert code == 2
+    assert "--k" in error["error"]

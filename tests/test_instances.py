@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from cosetlab.instances import (GhshInstance, GroupAction, HspInstance,
                                 instance_to_json, plant_coset, plant_ghsh,
                                 plant_hsp, plant_orbit_coset, verify_promise)
 from cosetlab.perms import parse_cycles
+from cosetlab.reductions import hidden_coset_to_hsp
 
 
 def keys(elems):
@@ -214,3 +216,130 @@ def test_instance_json_roundtrip():
     oc = plant_orbit_coset(cyclic_action(4), 1, CyclicElement(4, 2))
     back4 = instance_from_json(json.loads(json.dumps(instance_to_json(oc))))
     assert back4.phi0 == oc.phi0 and back4.phi1 == oc.phi1
+
+
+def test_verify_coset_evaluates_identity_once():
+    z6 = cyclic_group(6)
+    inst = plant_coset(z6, (CyclicElement(6, 3),), CyclicElement(6, 1))
+    assert verify_promise(inst)
+    n = z6.order()
+    # f1 once per element for the shift set, once per element plus once at
+    # the identity for the kernel; f2 at most once per (element, shift) pair
+    assert inst.f1.evaluations <= 2 * n + 1
+    assert inst.f2.evaluations <= n * n
+
+
+# -- verify_promise against a literal pairwise reference ---------------------------
+
+
+def reference_verify_hsp(inst, cap=100_000):
+    """Pairwise closure plus one coset per element, straight from the definition."""
+    elems = inst.group.elements(cap)
+    labels = {element_key(g): inst.oracle.evaluate(g) for g in elems}
+    kernel = [g for g in elems
+              if labels[element_key(g)] == labels[element_key(inst.group.identity)]]
+    kernel_keys = {element_key(g) for g in kernel}
+    for a in kernel:
+        for b in kernel:
+            if element_key(group_op(a, b)) not in kernel_keys:
+                return False
+    if inst.planted_subgroup is not None:
+        planted = close_under_op(inst.planted_subgroup, inst.group.identity, cap)
+        if {element_key(g) for g in planted} != kernel_keys:
+            return False
+    seen_labels: dict = {}
+    for g in elems:
+        if inst.side is Side.LEFT:
+            coset = {element_key(group_op(g, h)) for h in kernel}
+        else:
+            coset = {element_key(group_op(h, g)) for h in kernel}
+        lab = labels[element_key(g)]
+        if any(labels[k] != lab for k in coset):
+            return False
+        if lab in seen_labels and seen_labels[lab] != frozenset(coset):
+            return False
+        seen_labels[lab] = frozenset(coset)
+    return True
+
+
+def _merge(table, rng):
+    distinct = sorted(set(table.values()), key=repr)
+    if len(distinct) < 2:
+        return table
+    a, b = rng.sample(distinct, 2)
+    return {k: a if v == b else v for k, v in table.items()}
+
+
+def _split(table, rng):
+    k = rng.choice(sorted(table))
+    return {**table, k: ("split", k)}
+
+
+def _swap(table, rng):
+    a, b = rng.sample(sorted(table), 2)
+    return {**table, a: table[b], b: table[a]}
+
+
+def _randomize(table, rng):
+    width = rng.randint(1, len(table))
+    return {k: rng.randrange(width) for k in table}
+
+
+CORRUPTIONS = (_merge, _split, _swap, _randomize)
+
+
+def _relabeled(group, table, side, planted):
+    oracle = OracleFunction(lambda g: table[element_key(g)], description="relabeled")
+    return HspInstance(group, oracle, side, planted_subgroup=planted)
+
+
+def _hsp_cases(rng):
+    """Plain instances on a random side, and paired-coset reductions."""
+    for group in (cyclic_group(4), cyclic_group(6), symmetric_group(3),
+                  symmetric_group(4), dihedral_group(6)):
+        elems = group.elements()
+        for _ in range(6):
+            gens = tuple(rng.sample(elems, rng.randint(0, 2)))
+            yield plant_hsp(group, gens, rng.choice((Side.LEFT, Side.RIGHT)))
+    for group in (cyclic_group(4), cyclic_group(6), symmetric_group(3)):
+        elems = group.elements()
+        for _ in range(4):
+            gens = tuple(rng.sample(elems, rng.randint(0, 2)))
+            yield hidden_coset_to_hsp(plant_coset(group, gens, rng.choice(elems)))
+
+
+def test_verify_promise_matches_pairwise_reference():
+    rng = random.Random(20061017)
+    outcomes = []
+    for inst in _hsp_cases(rng):
+        elems = inst.group.elements()
+        table = {element_key(g): inst.oracle.evaluate(g) for g in elems}
+        other = tuple(rng.sample(elems, rng.randint(1, 2)))
+        variants = [table] + [corrupt(table, rng) for corrupt in CORRUPTIONS]
+        for labels in variants:
+            for side in (Side.LEFT, Side.RIGHT):
+                for planted in (inst.planted_subgroup, None, other):
+                    case = _relabeled(inst.group, labels, side, planted)
+                    expected = reference_verify_hsp(case)
+                    assert verify_promise(case) == expected
+                    outcomes.append(expected)
+    assert True in outcomes and False in outcomes
+    assert len(outcomes) == 42 * 5 * 2 * 3
+
+
+def test_verify_promise_matches_reference_on_foreign_planted_generators():
+    s3 = symmetric_group(3)
+    foreign = (parse_cycles("(1 2)", 4),)
+    injective = plant_hsp(s3, (), Side.LEFT).oracle
+    closed = HspInstance(s3, injective, Side.LEFT, planted_subgroup=foreign)
+    with pytest.raises(ValueError):
+        reference_verify_hsp(closed)
+    with pytest.raises(ValueError):
+        verify_promise(closed)
+
+    pair = {element_key(parse_cycles(c, 3)) for c in ("(1 2)", "(1 3)")}
+    unclosed = OracleFunction(
+        lambda g: "e" if g.is_identity() or element_key(g) in pair else element_key(g))
+    case = HspInstance(s3, unclosed, Side.LEFT, planted_subgroup=foreign)
+    assert reference_verify_hsp(case) is False
+    assert verify_promise(case) is False

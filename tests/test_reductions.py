@@ -1,7 +1,12 @@
-import pytest
+import json
 
+import pytest
+from click.testing import CliRunner
+
+from cosetlab.cli import main
 from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
-                             close_under_op, cyclic_group, element_key, group_op,
+                             close_under_op, cyclic_group, element_from_json,
+                             element_key, group_op,
                              invert, product_group, symmetric_group, wreath_embed,
                              wreath_group)
 from cosetlab.instances import (GroupAction, HspInstance, Side, plant_coset,
@@ -90,6 +95,27 @@ def test_coset_reduction_promise_exhaustive():
                 reduced = hidden_coset_to_hsp(plant_coset(group, gens, u))
                 assert keys(reduced.kernel()) == kernel_formula(group, sub_elems, u)
                 assert verify_promise(reduced)
+
+
+def test_s4_coset_pipeline_through_cli_recovers_kernel():
+    """plant coset -> reduce -> solve on the full S4, verified at every step."""
+    def step(args, stdin=None):
+        result = CliRunner().invoke(main, args, input=stdin, catch_exceptions=False)
+        assert result.exit_code == 0
+        return json.loads(result.output)["outputs"]
+
+    planted = step(["plant", "coset", "--group", "s4",
+                    "--subgroup", "(1 2 3 4),(1 2)", "--shift", "(1 3)"])
+    reduced = step(["reduce"], json.dumps(planted["instance"]))
+    solved = step(["solve"], json.dumps(reduced["instance"]))
+
+    s4 = symmetric_group(4)
+    sub_elems = close_under_op([parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)],
+                               s4.identity)
+    gens = [element_from_json(g) for g in solved["subgroup_generators"]]
+    identity = WreathElement((s4.identity, s4.identity), 0)
+    assert closure_keys(gens, identity) == kernel_formula(
+        s4, sub_elems, parse_cycles("(1 3)", 4))
 
 
 def test_recover_coset_solution_spec_example():

@@ -7,9 +7,8 @@ checkers.
 """
 
 from .perms import (ExceedsCapError, Permutation, StabilizerChain,
-                    build_stabilizer_chain, compose, format_cycles, is_member,
-                    parse_cycles, point_set, random_element,
-                    setwise_stabilizer_generators)
+                    build_stabilizer_chain, compose, format_cycles, parse_cycles,
+                    point_set, random_element, setwise_stabilizer_generators)
 from .groups import (CyclicElement, DihedralElement, FiniteGroup, GroupElement,
                      ShapeMismatchError, TupleElement, WreathElement,
                      cyclic_group, dihedral_group, element_from_json, element_key,
@@ -24,10 +23,9 @@ from .instances import (GhshInstance, GroupAction, HiddenCosetInstance, HspInsta
                         plant_hidden_shift, plant_hsp, plant_orbit_coset,
                         verify_promise)
 from .reductions import (Constraint, GammaSetStabilizer, GroupConstraint,
-                         InvalidKGeneratorsError, PermSetStabilizer,
-                         StructuredHspInstance, embed_wreath_instance, ghsh_to_hsp,
-                         hidden_coset_to_hsp, multi_intersection,
-                         orbit_coset_to_hsp, recover_coset_solution,
+                         InvalidKGeneratorsError, StructuredHspInstance,
+                         embed_wreath_instance, ghsh_to_hsp, hidden_coset_to_hsp,
+                         orbit_coset_to_hsp, paired_oracle, recover_coset_solution,
                          recover_ghsh_functions, recover_orbit_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle,
                               DihedralDecisionOracle, DihedralSubgroupQuery,
@@ -37,8 +35,8 @@ from .search_decision import (DecisionAnswer, DecisionOracle,
                               dihedral_search_via_decision, hsh_search_via_decision,
                               hsp_search_via_decision, smooth_factorize)
 from .checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
-                       BruteForceShiftOracle, BruteSearchProgram, BugSpec,
-                       CheckerVerdict, SearchProgram, TrialRecord, brute_coset_solve,
+                       BruteForceShiftOracle, BruteSearchProgram, BuggyProgram,
+                       BugSpec, CheckerVerdict, TrialRecord, brute_coset_solve,
                        brute_decide, brute_ghsh_solve, brute_hsp_solve,
                        brute_orbit_solve, checker_hsp, checker_hspD, wrap_buggy)
 

@@ -1,4 +1,4 @@
-"""Reference solvers, fault-injection wrappers, and the two program checkers.
+"""Reference solvers, one fault-injection wrapper, and the two program checkers.
 
 The brute-force solvers work straight from the problem definitions by full
 enumeration and serve as the independent oracles everything else is tested
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,10 +25,8 @@ from .perms import Permutation, build_stabilizer_chain, random_element
 from .reductions import (InvalidKGeneratorsError, StructuredHspInstance,
                          embed_wreath_instance, hidden_coset_to_hsp,
                          recover_coset_solution)
-from .search_decision import (DecisionAnswer, DecisionOracle,
-                              DihedralDecisionOracle, DihedralSubgroupQuery,
-                              HspSearchPlan, OracleInconsistentError, QueryRecord,
-                              ShiftDecisionOracle, ShiftQuery,
+from .search_decision import (DecisionAnswer, DecisionOracle, DihedralSubgroupQuery,
+                              OracleInconsistentError, QueryRecord, ShiftQuery,
                               build_hsp_search_plan, event_stamp,
                               finish_hsp_search, hsp_search_via_decision)
 
@@ -95,20 +92,12 @@ def brute_decide(structured: StructuredHspInstance,
 class BruteForceDecisionOracle(DecisionOracle):
     """Answers structured decision queries by enumerate-and-filter."""
 
-    def __init__(self, cap: int = DEFAULT_CAP):
-        super().__init__()
-        self.cap = cap
-
     def _answer(self, query: QueryRecord) -> DecisionAnswer:
         return brute_decide(query.instance, self.cap)
 
 
-class BruteForceShiftOracle(ShiftDecisionOracle):
+class BruteForceShiftOracle(DecisionOracle):
     """Answers shift-existence queries by trying every subgroup element."""
-
-    def __init__(self, cap: int = DEFAULT_CAP):
-        super().__init__()
-        self.cap = cap
 
     def _answer(self, query: ShiftQuery) -> bool:
         elems = query.group.elements(self.cap)
@@ -117,12 +106,8 @@ class BruteForceShiftOracle(ShiftDecisionOracle):
                    for w in elems)
 
 
-class BruteForceDihedralOracle(DihedralDecisionOracle):
+class BruteForceDihedralOracle(DecisionOracle):
     """Scans the query subgroup for a non-identity element with the identity label."""
-
-    def __init__(self, cap: int = DEFAULT_CAP):
-        super().__init__()
-        self.cap = cap
 
     def _answer(self, query: DihedralSubgroupQuery) -> DecisionAnswer:
         f = query.instance.oracle
@@ -133,34 +118,14 @@ class BruteForceDihedralOracle(DihedralDecisionOracle):
         return DecisionAnswer.TRIVIAL
 
 
-# -- programs under check and fault injection ----------------------------------------
+class BruteSearchProgram(DecisionOracle):
+    """A hidden-subgroup search program: instance -> (generators, no shift)."""
 
-
-class SearchProgram:
-    """A hidden-subgroup search program: instance -> (generators, optional shift)."""
-
-    def __init__(self):
-        self.call_log: list[int] = []
-
-    def run(self, inst: HspInstance) -> tuple[list[GroupElement], GroupElement | None]:
-        self.call_log.append(event_stamp())
-        return self._run(inst)
-
-    def _run(self, inst: HspInstance):
-        raise NotImplementedError
-
-    @property
-    def calls(self) -> int:
-        return len(self.call_log)
-
-
-class BruteSearchProgram(SearchProgram):
-    def __init__(self, cap: int = DEFAULT_CAP):
-        super().__init__()
-        self.cap = cap
-
-    def _run(self, inst: HspInstance):
+    def _answer(self, inst: HspInstance):
         return brute_hsp_solve(inst, self.cap), None
+
+
+# -- fault injection -------------------------------------------------------------------
 
 
 @dataclass
@@ -189,70 +154,8 @@ class BugSpec:
             raise ValueError(f"unknown bug mode {self.mode!r}")
         if self.mode == "wrong_on_matching" and self.predicate is None:
             raise ValueError("wrong_on_matching needs a predicate")
-
-
-def _flip(answer: DecisionAnswer) -> DecisionAnswer:
-    return (DecisionAnswer.TRIVIAL if answer is DecisionAnswer.NONTRIVIAL
-            else DecisionAnswer.NONTRIVIAL)
-
-
-class BuggyDecisionOracle(DecisionOracle):
-    def __init__(self, inner: DecisionOracle, spec: BugSpec):
-        super().__init__()
-        self.inner = inner
-        self.spec = spec
-        self._rng = random.Random(spec.seed)
-
-    def _answer(self, query: QueryRecord) -> DecisionAnswer:
-        spec = self.spec
-        if spec.mode == "always_trivial":
-            return DecisionAnswer.TRIVIAL
-        if spec.mode == "always_nontrivial":
-            return DecisionAnswer.NONTRIVIAL
-        honest = self.inner.answer(query)
-        if spec.mode == "flip_with_prob":
-            return _flip(honest) if self._rng.random() < spec.flip_probability else honest
-        if spec.predicate(query.instance):
-            return _flip(honest)
-        return honest
-
-
-class BuggyShiftOracle(ShiftDecisionOracle):
-    def __init__(self, inner: ShiftDecisionOracle, spec: BugSpec):
-        super().__init__()
-        self.inner = inner
-        self.spec = spec
-        self._rng = random.Random(spec.seed)
-
-    def _answer(self, query: ShiftQuery) -> bool:
-        spec = self.spec
-        if spec.mode == "always_trivial":
-            return False
-        if spec.mode == "always_nontrivial":
-            return True
-        honest = self.inner.answer(query)
-        if spec.mode == "flip_with_prob":
-            return (not honest) if self._rng.random() < spec.flip_probability else honest
-        return (not honest) if spec.predicate(query) else honest
-
-
-class BuggyDihedralOracle(DihedralDecisionOracle):
-    def __init__(self, inner: DihedralDecisionOracle, spec: BugSpec):
-        super().__init__()
-        self.inner = inner
-        self.spec = spec
-        self._rng = random.Random(spec.seed)
-
-    def _answer(self, query: DihedralSubgroupQuery) -> DecisionAnswer:
-        spec = self.spec
-        if spec.mode == "always_trivial":
-            return DecisionAnswer.TRIVIAL
-        if spec.mode == "always_nontrivial":
-            return DecisionAnswer.NONTRIVIAL
-        honest = self.inner.answer(query)
-        if spec.mode == "flip_with_prob":
-            return _flip(honest) if self._rng.random() < spec.flip_probability else honest
-        return _flip(honest) if spec.predicate(query) else honest
+        if not 0.0 <= self.flip_probability <= 1.0:
+            raise ValueError(f"flip probability {self.flip_probability} is outside [0, 1]")
 
 
 def _drop_last_generator(result):
@@ -260,42 +163,62 @@ def _drop_last_generator(result):
     return gens[:-1], rep
 
 
-class BuggySearchProgram(SearchProgram):
-    def __init__(self, inner: SearchProgram, spec: BugSpec):
+def _fixed_answer(query, nontrivial: bool):
+    """A decision, dihedral or shift program's answer that ignores the input."""
+    if isinstance(query, ShiftQuery):
+        return nontrivial
+    return DecisionAnswer.NONTRIVIAL if nontrivial else DecisionAnswer.TRIVIAL
+
+
+class BuggyProgram(DecisionOracle):
+    """Wraps any program so its answers deviate exactly as ``spec`` says.
+
+    What the modes mean per protocol: a decision or dihedral program answers
+    TRIVIAL or NONTRIVIAL, a shift program False or True.  A search program
+    always-trivial claims no generators; always-nontrivial keeps an honest
+    nontrivial claim and otherwise claims the first non-identity group
+    generator.  A wrong answer is the other decision, the negated bool, or
+    ``spec.mutate`` applied to a search answer.  The predicate sees the
+    structured instance of a decision query and the query itself otherwise.
+    Flips draw from one ``random.Random(spec.seed)`` stream, in call order.
+    """
+
+    def __init__(self, inner: DecisionOracle, spec: BugSpec):
         super().__init__()
         self.inner = inner
         self.spec = spec
         self._rng = random.Random(spec.seed)
 
-    def _run(self, inst: HspInstance):
+    def _answer(self, query):
         spec = self.spec
+        search = isinstance(query, HspInstance)
         if spec.mode == "always_trivial":
-            return [], None
-        honest = self.inner.run(inst)
-        mutate = spec.mutate or _drop_last_generator
+            return ([], None) if search else _fixed_answer(query, False)
+        if spec.mode == "always_nontrivial" and not search:
+            return _fixed_answer(query, True)
+        honest = self.inner.answer(query)
         if spec.mode == "always_nontrivial":
             if honest[0]:
                 return honest
-            fake = [g for g in inst.group.generators if not g.is_identity()]
+            fake = [g for g in query.group.generators if not g.is_identity()]
             return fake[:1], None
         if spec.mode == "flip_with_prob":
-            return mutate(honest) if self._rng.random() < spec.flip_probability else honest
-        if spec.predicate(inst):
-            return mutate(honest)
-        return honest
+            wrong = self._rng.random() < spec.flip_probability
+        else:
+            wrong = spec.predicate(query.instance if isinstance(query, QueryRecord)
+                                   else query)
+        if not wrong:
+            return honest
+        if search:
+            return (spec.mutate or _drop_last_generator)(honest)
+        if isinstance(honest, bool):
+            return not honest
+        return _fixed_answer(query, honest is DecisionAnswer.TRIVIAL)
 
 
-def wrap_buggy(program, spec: BugSpec):
-    """Wrap a program or oracle so its answers deviate exactly as described."""
-    if isinstance(program, DecisionOracle):
-        return BuggyDecisionOracle(program, spec)
-    if isinstance(program, SearchProgram):
-        return BuggySearchProgram(program, spec)
-    if isinstance(program, ShiftDecisionOracle):
-        return BuggyShiftOracle(program, spec)
-    if isinstance(program, DihedralDecisionOracle):
-        return BuggyDihedralOracle(program, spec)
-    raise TypeError(f"cannot wrap {type(program).__name__}")
+# ``wrap_buggy(program, spec)`` is how the CLI, the selftest, the tests and
+# perfbench inject faults.
+wrap_buggy = BuggyProgram
 
 
 # -- checkers --------------------------------------------------------------------------
@@ -351,8 +274,30 @@ def _require_left_permutation_instance(inst: HspInstance) -> int:
     return identity.degree
 
 
+def _translate_trials(program: DecisionOracle, inst: HspInstance, k: int, seed: int,
+                      prepare: Callable, judge: Callable[..., TrialRecord],
+                      transcript: list[TrialRecord], calls_before: int) -> CheckerVerdict:
+    """Run k translate trials nonadaptively and close the verdict.
+
+    Every trial instance is built and passed through ``prepare`` before the
+    program sees any of them; then ``judge(t, u, prepared)`` runs trial t.
+    """
+    chain = build_stabilizer_chain(inst.group.generators, inst.group.identity.degree)
+    trials = []
+    for t in range(k):
+        u, flat = _translated_instance(inst, trial_rng(seed, t), chain)
+        trials.append((t, u, prepare(flat)))
+    construction_done = event_stamp()
+    first_call_index = program.calls
+    transcript.extend(judge(*trial) for trial in trials)
+    first_trial_call = (program.call_log[first_call_index].stamp
+                        if program.calls > first_call_index else None)
+    return _verdict(transcript, program.calls - calls_before,
+                    construction_done, first_trial_call)
+
+
 def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
-                 seed: int = 0, cap: int = DEFAULT_CAP, jobs: int = 1) -> CheckerVerdict:
+                 seed: int = 0, cap: int = DEFAULT_CAP) -> CheckerVerdict:
     """Certify a decision program's answer on one instance.
 
     A NONTRIVIAL answer is checked by running the search reduction with the
@@ -365,7 +310,6 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
     if k < 1:
         raise ValueError("k must be at least 1")
     n = _require_left_permutation_instance(inst)
-    chain = build_stabilizer_chain(inst.group.generators, n)
     calls_before = program.calls
     transcript: list[TrialRecord] = []
 
@@ -373,7 +317,7 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
                                        StructuredHspInstance(inst, ())))
     if first is DecisionAnswer.NONTRIVIAL:
         try:
-            found = hsp_search_via_decision(inst, program, cap, jobs=jobs)
+            found = hsp_search_via_decision(inst, program, cap)
         except OracleInconsistentError as exc:
             transcript.append(TrialRecord("search", "witness search", False, str(exc)))
             return _verdict(transcript, program.calls - calls_before)
@@ -387,18 +331,10 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
                                           f"witness {found}"))
         return _verdict(transcript, program.calls - calls_before)
 
-    plans: list[tuple[int, GroupElement, HspSearchPlan]] = []
-    for t in range(k):
-        u, flat = _translated_instance(inst, trial_rng(seed, t), chain)
-        plans.append((t, u, build_hsp_search_plan(flat, cap)))
-    construction_done = event_stamp()
-    first_call_index = program.calls
-
-    def run_trial(item):
-        t, u, plan = item
+    def judge(t, u, plan):
         expected = WreathElement((invert(u), u), 1)
         try:
-            answers = plan.batch.run(program, jobs=1)
+            answers = plan.batch.run(program)
             found = finish_hsp_search(plan, answers)
         except OracleInconsistentError as exc:
             return TrialRecord(t, "translate trial", False, str(exc))
@@ -410,20 +346,13 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
                                f"recovered {got}, expected the planted swap")
         return TrialRecord(t, "translate trial", True)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            transcript.extend(pool.map(run_trial, plans))
-    else:
-        transcript.extend(run_trial(item) for item in plans)
-
-    first_trial_call = (program.call_log[first_call_index].stamp
-                        if program.calls > first_call_index else None)
-    return _verdict(transcript, program.calls - calls_before,
-                    construction_done, first_trial_call)
+    return _translate_trials(program, inst, k, seed,
+                             lambda flat: build_hsp_search_plan(flat, cap), judge,
+                             transcript, calls_before)
 
 
-def checker_hsp(program: SearchProgram, inst: HspInstance, k: int,
-                seed: int = 0, cap: int = DEFAULT_CAP, jobs: int = 1) -> CheckerVerdict:
+def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
+                seed: int = 0, cap: int = DEFAULT_CAP) -> CheckerVerdict:
     """Certify a search program's output on one instance.
 
     The claimed generators must share the identity's label; then k translate
@@ -434,11 +363,10 @@ def checker_hsp(program: SearchProgram, inst: HspInstance, k: int,
     if k < 1:
         raise ValueError("k must be at least 1")
     n = _require_left_permutation_instance(inst)
-    chain = build_stabilizer_chain(inst.group.generators, n)
     calls_before = program.calls
     transcript: list[TrialRecord] = []
 
-    claimed, _ = program.run(inst)
+    claimed, _ = program.answer(inst)
     base_label = inst.oracle.evaluate(inst.group.identity)
     members_ok = True
     detail = ""
@@ -457,22 +385,8 @@ def checker_hsp(program: SearchProgram, inst: HspInstance, k: int,
     claimed_closure = {element_key(g)
                        for g in close_under_op(claimed, inst.group.identity, cap)}
 
-    trials = []
-    for t in range(k):
-        rng = trial_rng(seed, t)
-        u = random_element(chain, rng)
-        u_inv = invert(u)
-        f = inst.oracle
-        f2 = OracleFunction(lambda g, ui=u_inv: f.evaluate(group_op(g, ui)),
-                            description="translated labels")
-        paired = hidden_coset_to_hsp(HiddenCosetInstance(inst.group, f, f2))
-        trials.append((t, u, embed_wreath_instance(paired)))
-    construction_done = event_stamp()
-    first_call_index = program.calls
-
-    def run_trial(item):
-        t, u, flat = item
-        claimed_emb, _ = program.run(flat)
+    def judge(t, u, flat):
+        claimed_emb, _ = program.answer(flat)
         try:
             k_gens = [wreath_unembed(p, n) for p in claimed_emb]
             sub_gens, u_prime = recover_coset_solution(k_gens, inst.group)
@@ -488,13 +402,5 @@ def checker_hsp(program: SearchProgram, inst: HspInstance, k: int,
                                "recovered shift lies outside the claimed coset")
         return TrialRecord(t, "translate trial", True)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            transcript.extend(pool.map(run_trial, trials))
-    else:
-        transcript.extend(run_trial(item) for item in trials)
-
-    first_trial_call = (program.call_log[first_call_index]
-                        if program.calls > first_call_index else None)
-    return _verdict(transcript, program.calls - calls_before,
-                    construction_done, first_trial_call)
+    return _translate_trials(program, inst, k, seed, lambda flat: flat, judge,
+                             transcript, calls_before)

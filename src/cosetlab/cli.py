@@ -157,12 +157,15 @@ def parse_bug_spec(spec_text: str, seed: int) -> BugSpec | None:
         return BugSpec("always_trivial")
     if body == "always-nontrivial":
         return BugSpec("always_nontrivial")
-    if body.startswith("flip:"):
-        return BugSpec("flip_with_prob", flip_probability=float(body[5:]), seed=seed)
-    if body.startswith("wrong-if-order-gt:"):
-        bound = int(body.rsplit(":", 1)[1])
-        return BugSpec("wrong_on_matching",
-                       predicate=lambda q: _query_group(q).order() > bound)
+    try:
+        if body.startswith("flip:"):
+            return BugSpec("flip_with_prob", flip_probability=float(body[5:]), seed=seed)
+        if body.startswith("wrong-if-order-gt:"):
+            bound = int(body[len("wrong-if-order-gt:"):])
+            return BugSpec("wrong_on_matching",
+                           predicate=lambda q: _query_group(q).order() > bound)
+    except ValueError as exc:
+        raise InputError(f"bad program spec {spec_text!r}: {exc}")
     raise InputError(f"unknown bug mode: {spec_text!r}")
 
 
@@ -215,11 +218,10 @@ def _load_and_verify(path, cap):
 @click.group()
 @click.option("--seed", type=int, default=0, help="64-bit seed for all randomness.")
 @click.option("--cap", type=int, default=100_000, help="Enumeration cap.")
-@click.option("--jobs", type=int, default=1, help="Parallel trials/queries.")
 @click.pass_context
-def main(ctx, seed, cap, jobs):
+def main(ctx, seed, cap):
     """Desk-scale hidden-structure workbench over small finite groups."""
-    ctx.obj = {"seed": seed, "cap": cap, "jobs": jobs, "argv": sys.argv[1:]}
+    ctx.obj = {"seed": seed, "cap": cap, "argv": sys.argv[1:]}
 
 
 @main.group()
@@ -373,7 +375,7 @@ def solve_cmd(ctx, path):
 def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
     """Solve the search problem using only a decision oracle."""
     started = time.monotonic()
-    cap, seed, jobs = ctx.obj["cap"], ctx.obj["seed"], ctx.obj["jobs"]
+    cap, seed = ctx.obj["cap"], ctx.obj["seed"]
     data, instance = _load_and_verify(path, cap)
     querylog = None
     try:
@@ -392,7 +394,7 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
                             "oracle_evaluations": instance.oracle.evaluations}
             else:
                 oracle = parse_program(oracle_text, "decision", cap, seed)
-                found = hsp_search_via_decision(instance, oracle, cap, jobs=jobs)
+                found = hsp_search_via_decision(instance, oracle, cap)
                 outputs = {"found": None if found is None else element_to_json(found)}
                 if emit_querylog:
                     querylog = [{"index": list(e.index)} for e in oracle.call_log]
@@ -432,7 +434,7 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
 def check_cmd(ctx, path, program_text, flavor, k, runs):
     """Certify a program's answer on this instance; repeat --runs times."""
     started = time.monotonic()
-    cap, seed, jobs = ctx.obj["cap"], ctx.obj["seed"], ctx.obj["jobs"]
+    cap, seed = ctx.obj["cap"], ctx.obj["seed"]
     if k < 1:
         raise InputError(f"--k must be at least 1, got {k}")
     if runs < 1:
@@ -445,7 +447,7 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
     for run in range(runs):
         program = parse_program(program_text, flavor, cap, seed + run)
         checker = checker_hspD if flavor == "decision" else checker_hsp
-        verdict = checker(program, instance, k, seed=seed + run, cap=cap, jobs=jobs)
+        verdict = checker(program, instance, k, seed=seed + run, cap=cap)
         counts[verdict.verdict] += 1
         per_run.append({
             "verdict": verdict.verdict,

@@ -14,7 +14,6 @@ coset family uses ``f_1(g) = f_2(g u)`` (right convention).
 from __future__ import annotations
 
 import enum
-import threading
 from typing import Callable, Hashable, Iterable
 
 from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, close_under_op,
@@ -38,27 +37,23 @@ class PromiseViolationError(ValueError):
 class OracleFunction:
     """Deterministic black-box function from group elements to labels.
 
-    Evaluation counting is exact and thread-safe; reading the counter while
-    other threads evaluate sees a consistent snapshot.
+    Every evaluation is counted exactly.
     """
 
     def __init__(self, fn: Callable[[GroupElement], Label], description: str = ""):
         self._fn = fn
         self.description = description
         self._count = 0
-        self._lock = threading.Lock()
 
     def evaluate(self, g: GroupElement) -> Label:
-        with self._lock:
-            self._count += 1
+        self._count += 1
         return self._fn(g)
 
     __call__ = evaluate
 
     @property
     def evaluations(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
     def __repr__(self):
         return f"OracleFunction({self.description or 'anonymous'}, evals={self._count})"

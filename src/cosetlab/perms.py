@@ -162,10 +162,6 @@ class StabilizerChain:
         """Coset representatives at level ``i`` (1-based), keyed by image of point ``i``."""
         return dict(self.transversals[i - 1])
 
-    def strong_generators(self) -> list[Permutation]:
-        return [rep for tv in self.transversals for rep in _sorted_reps(tv)
-                if not rep.is_identity()]
-
     def subgroup_generators(self, k: int) -> list[Permutation]:
         """Generators of the pointwise stabilizer of {1..k}; k=0 gives the whole group."""
         return [rep for tv in self.transversals[k:] for rep in _sorted_reps(tv)
@@ -261,10 +257,6 @@ def build_stabilizer_chain(gens: Iterable[Permutation], n: int) -> StabilizerCha
         if not changed:
             break
     return StabilizerChain(n, tuple(transversals))
-
-
-def is_member(chain: StabilizerChain, p: Permutation) -> bool:
-    return chain.contains(p)
 
 
 def random_element(chain: StabilizerChain, rng: random.Random) -> Permutation:

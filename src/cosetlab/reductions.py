@@ -69,6 +69,25 @@ def instance_from_json_any(data: dict, cap: int = DEFAULT_CAP):
 # -- hidden coset <-> hidden subgroup ---------------------------------------------
 
 
+def paired_oracle(f1: Callable[[GroupElement], Label],
+                  f2: Callable[[GroupElement], Label],
+                  description: str) -> OracleFunction:
+    """Pair two functions over the slots of two-slot wreath elements.
+
+    Gives (f1(a), f2(b)) on ((a, b), 0) and (f2(b), f1(a)) on ((a, b), 1).
+    Every pairing construction is this one: the hidden-coset and orbit-coset
+    reductions and each level of the search-to-decision plan.
+    """
+
+    def paired(w: WreathElement) -> Label:
+        a, b = w.slots
+        if w.shift == 0:
+            return (f1(a), f2(b))
+        return (f2(b), f1(a))
+
+    return OracleFunction(paired, description=description)
+
+
 def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
     """Pair the two functions over the two-slot wreath product.
 
@@ -78,14 +97,6 @@ def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
     subgroup's left cosets.
     """
     wreath = wreath_group(hc.group, 2)
-    f1, f2 = hc.f1, hc.f2
-
-    def paired(w: WreathElement) -> Label:
-        a, b = w.slots
-        if w.shift == 0:
-            return (f1.evaluate(a), f2.evaluate(b))
-        return (f2.evaluate(b), f1.evaluate(a))
-
     planted = None
     if hc.planted_subgroup is not None and hc.planted_shift is not None:
         e = hc.group.identity
@@ -98,7 +109,7 @@ def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
         gens.append(WreathElement((u_inv, u), 1))
         planted = tuple(gens)
 
-    oracle = OracleFunction(paired, description="paired coset functions")
+    oracle = paired_oracle(hc.f1.evaluate, hc.f2.evaluate, "paired coset functions")
     return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=planted)
 
 
@@ -188,15 +199,6 @@ def orbit_coset_to_hsp(oc: OrbitCosetInstance) -> HspInstance:
     group = act.group
     wreath = wreath_group(group, 2)
     phi0, phi1 = oc.phi0, oc.phi1
-
-    def paired(w: WreathElement) -> Label:
-        a, b = w.slots
-        first = act.states[act.act(a, phi0)]
-        second = act.states[act.act(b, phi1)]
-        if w.shift == 0:
-            return (first, second)
-        return (second, first)
-
     e = group.identity
     gens: list[GroupElement] = []
     for s in act.stabilizer_generators(phi0):
@@ -208,7 +210,8 @@ def orbit_coset_to_hsp(oc: OrbitCosetInstance) -> HspInstance:
         u = min(mapping, key=element_key)
         gens.append(WreathElement((invert(u), u), 1))
 
-    oracle = OracleFunction(paired, description="paired orbit maps")
+    oracle = paired_oracle(lambda a: act.states[act.act(a, phi0)],
+                           lambda b: act.states[act.act(b, phi1)], "paired orbit maps")
     return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=tuple(gens))
 
 
@@ -237,9 +240,6 @@ class Constraint:
     def contains(self, x: GroupElement) -> bool:
         raise NotImplementedError
 
-    def sample_identity(self) -> GroupElement:
-        raise NotImplementedError
-
 
 @dataclass
 class GroupConstraint(Constraint):
@@ -250,25 +250,6 @@ class GroupConstraint(Constraint):
 
     def contains(self, x: GroupElement) -> bool:
         return self.group.contains(x, self.cap)
-
-    def sample_identity(self) -> GroupElement:
-        return self.group.identity
-
-
-@dataclass(frozen=True)
-class PermSetStabilizer(Constraint):
-    """Setwise stabilizer of a point set inside the ambient symmetric group."""
-
-    degree: int
-    points: frozenset[int]
-
-    def contains(self, x: GroupElement) -> bool:
-        if not isinstance(x, Permutation):
-            raise TypeError("point-set stabilizer constraint needs permutations")
-        return {x.apply(p) for p in self.points} == self.points
-
-    def sample_identity(self) -> GroupElement:
-        return Permutation.identity(self.degree)
 
 
 @dataclass(frozen=True)
@@ -290,9 +271,6 @@ class GammaSetStabilizer(Constraint):
             flat = {r + (c - 1) * self.rows for (r, c) in self.pairs}
             return {x.apply(p) for p in flat} == flat
         raise TypeError("doubled-point stabilizer needs wreath elements or permutations")
-
-    def sample_identity(self) -> GroupElement:
-        return Permutation.identity(2 * self.rows)
 
 
 class StructuredHspInstance:
@@ -332,13 +310,6 @@ class StructuredHspInstance:
             return tuple(parts)
 
         return OracleFunction(f_prime, description="intersection audit")
-
-
-def multi_intersection(inst: HspInstance,
-                       constraints: Sequence[Constraint]) -> StructuredHspInstance:
-    """Join a hidden-subgroup instance with constraint groups; the hidden
-    subgroup becomes the diagonal of the intersection."""
-    return StructuredHspInstance(inst, tuple(constraints))
 
 
 # -- flattening wreath instances to permutation instances ---------------------------

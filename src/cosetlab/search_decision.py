@@ -12,25 +12,21 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, GroupElement,
-                     WreathElement, element_key, wreath_group)
+                     wreath_group)
 from .instances import HspInstance, Label, OracleFunction, Side
 from .perms import Permutation, StabilizerChain, build_stabilizer_chain
-from .reductions import GammaSetStabilizer, StructuredHspInstance
+from .reductions import GammaSetStabilizer, StructuredHspInstance, paired_oracle
 
 _clock = itertools.count(1)
-_clock_lock = threading.Lock()
 
 
 def event_stamp() -> int:
     """Monotonic stamp shared by batch sealing and oracle call logging."""
-    with _clock_lock:
-        return next(_clock)
+    return next(_clock)
 
 
 class DecisionAnswer(enum.Enum):
@@ -77,15 +73,10 @@ class QueryBatch:
         if self.sealed_stamp is None:
             self.sealed_stamp = event_stamp()
 
-    def run(self, oracle: "DecisionOracle", jobs: int = 1) -> dict:
-        """Seal, then answer every record; answers keyed by index tuple."""
+    def run(self, oracle: "DecisionOracle") -> dict:
+        """Seal, then answer every record in order; answers keyed by index tuple."""
         self.seal()
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                answers = list(pool.map(oracle.answer, self.records))
-        else:
-            answers = [oracle.answer(r) for r in self.records]
-        return {r.index: a for r, a in zip(self.records, answers)}
+        return {r.index: oracle.answer(r) for r in self.records}
 
 
 @dataclass(frozen=True)
@@ -95,24 +86,37 @@ class CallLogEntry:
 
 
 class DecisionOracle:
-    """Base class for decision answerers; logs every call with a stamp."""
+    """Base class for every program the reductions and checkers query.
 
-    def __init__(self):
+    One protocol serves all of them: a structured decision query
+    (:class:`QueryRecord`), a shift query, a dihedral subgroup query, or a
+    bare :class:`HspInstance` handed to a search program.  ``answer`` logs
+    each call with a stamp, then defers to ``_answer``; ``cap`` bounds the
+    enumerations a brute-force answerer makes.
+    """
+
+    def __init__(self, cap: int = DEFAULT_CAP):
+        self.cap = cap
         self.call_log: list[CallLogEntry] = []
-        self._log_lock = threading.Lock()
 
-    def answer(self, query: QueryRecord) -> DecisionAnswer:
-        entry = CallLogEntry(event_stamp(), query.index)
-        with self._log_lock:
-            self.call_log.append(entry)
+    def answer(self, query):
+        # A search program's query is an instance, which carries no index.
+        self.call_log.append(CallLogEntry(event_stamp(), getattr(query, "index", ())))
         return self._answer(query)
 
-    def _answer(self, query: QueryRecord) -> DecisionAnswer:
+    def _answer(self, query):
         raise NotImplementedError
 
     @property
     def calls(self) -> int:
         return len(self.call_log)
+
+
+# The shift and dihedral protocols are the decision protocol.  The names stay
+# because perfbench/tracing.py looks each one up and wraps ``answer`` in the
+# class dictionary.
+ShiftDecisionOracle = DecisionOracle
+DihedralDecisionOracle = DecisionOracle
 
 
 # -- hidden subgroup search over permutation groups ---------------------------------
@@ -124,32 +128,6 @@ def _chain_level_group(chain: StabilizerChain, level: int) -> FiniteGroup:
                        name=f"stabilizer level {level}",
                        elements_hint=lambda: list(chain.elements(level)),
                        known_order=chain.level_order(level))
-
-
-def _paired_oracle(f: OracleFunction, memo: dict | None = None) -> OracleFunction:
-    """Pair f over the slots of two-slot wreath elements, swapped under shift.
-
-    Slot labels are memoized: the base function is deterministic and slot
-    values repeat across the quadratically many wreath elements.
-    """
-    if memo is None:
-        memo = {}
-
-    def slot_label(g) -> Label:
-        # Keyed by object identity: slot objects are drawn from one shared
-        # element list, and the stored reference keeps the id stable.
-        hit = memo.get(id(g))
-        if hit is None:
-            hit = memo[id(g)] = (g, f.evaluate(g))
-        return hit[1]
-
-    def paired(w: WreathElement) -> Label:
-        a, b = w.slots
-        if w.shift == 0:
-            return (slot_label(a), slot_label(b))
-        return (slot_label(b), slot_label(a))
-
-    return OracleFunction(paired, description=f"paired {f.description}")
 
 
 @dataclass
@@ -178,10 +156,21 @@ def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearc
     chain = build_stabilizer_chain(inst.group.generators, n)
     batch = QueryBatch()
     label_memo: dict = {}
+
+    def slot_label(g) -> Label:
+        # Memoized because slot values repeat across the quadratically many
+        # wreath elements.  Keyed by object identity: slot objects are drawn
+        # from one shared element list, and the stored reference keeps the id
+        # stable.
+        hit = label_memo.get(id(g))
+        if hit is None:
+            hit = label_memo[id(g)] = (g, inst.oracle.evaluate(g))
+        return hit[1]
+
+    paired = paired_oracle(slot_label, slot_label, f"paired {inst.oracle.description}")
     for i in range(1, n + 1):
         level_group = _chain_level_group(chain, i - 1)
-        base = HspInstance(wreath_group(level_group, 2, cap),
-                           _paired_oracle(inst.oracle, label_memo), Side.LEFT)
+        base = HspInstance(wreath_group(level_group, 2, cap), paired, Side.LEFT)
         for j in range(i + 1, n + 1):
             for j2 in range(i + 1, n + 1):
                 for k in range(i, n + 1):
@@ -236,7 +225,7 @@ def finish_hsp_search(plan: HspSearchPlan, answers: dict) -> Permutation | None:
 
 
 def hsp_search_via_decision(inst: HspInstance, oracle: DecisionOracle,
-                            cap: int = DEFAULT_CAP, jobs: int = 1) -> Permutation | None:
+                            cap: int = DEFAULT_CAP) -> Permutation | None:
     """Find a nontrivial hidden-subgroup member with a decision oracle only.
 
     The whole query batch is constructed and sealed before the first call.
@@ -245,7 +234,7 @@ def hsp_search_via_decision(inst: HspInstance, oracle: DecisionOracle,
     explained by any hidden subgroup.
     """
     plan = build_hsp_search_plan(inst, cap)
-    answers = plan.batch.run(oracle, jobs=jobs)
+    answers = plan.batch.run(oracle)
     return finish_hsp_search(plan, answers)
 
 
@@ -262,26 +251,8 @@ class ShiftQuery:
     f2: Callable[[GroupElement], Label]
 
 
-class ShiftDecisionOracle:
-    """Base class for shift-existence answerers, with call logging."""
-
-    def __init__(self):
-        self.call_log: list[CallLogEntry] = []
-
-    def answer(self, query: ShiftQuery) -> bool:
-        self.call_log.append(CallLogEntry(event_stamp(), query.index))
-        return self._answer(query)
-
-    def _answer(self, query: ShiftQuery) -> bool:
-        raise NotImplementedError
-
-    @property
-    def calls(self) -> int:
-        return len(self.call_log)
-
-
 def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
-                            f2: OracleFunction, oracle: ShiftDecisionOracle,
+                            f2: OracleFunction, oracle: DecisionOracle,
                             cap: int = DEFAULT_CAP) -> Permutation:
     """Recover the translate u with f1(g) = f2(g u) by walking the chain.
 
@@ -404,26 +375,8 @@ class DihedralSubgroupQuery:
                            elements_hint=listing, known_order=2 * count)
 
 
-class DihedralDecisionOracle:
-    """Base class for dihedral subgroup-restricted decision answerers."""
-
-    def __init__(self):
-        self.call_log: list[CallLogEntry] = []
-
-    def answer(self, query: DihedralSubgroupQuery) -> DecisionAnswer:
-        self.call_log.append(CallLogEntry(event_stamp(), query.index))
-        return self._answer(query)
-
-    def _answer(self, query: DihedralSubgroupQuery) -> DecisionAnswer:
-        raise NotImplementedError
-
-    @property
-    def calls(self) -> int:
-        return len(self.call_log)
-
-
 def dihedral_search_via_decision(n: int, bound: int, inst: HspInstance,
-                                 oracle: DihedralDecisionOracle) -> int:
+                                 oracle: DecisionOracle) -> int:
     """Recover a from the hidden order-two subgroup {id, r^a s} of D_n.
 
     For each prime power p^e dividing n, the residue of a mod p^j is learned

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cosetlab.checking import (BruteForceDecisionOracle, BruteSearchProgram,
-                               BugSpec, SearchProgram, TrialRecord,
+                               BugSpec, TrialRecord,
                                brute_coset_solve, brute_decide, brute_ghsh_solve,
                                brute_hsp_solve, brute_orbit_solve, checker_hsp,
                                checker_hspD, trial_rng, wrap_buggy)
@@ -13,8 +13,7 @@ from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
 from cosetlab.instances import (GroupAction, Side, plant_coset, plant_ghsh,
                                 plant_hsp, plant_orbit_coset)
 from cosetlab.perms import parse_cycles
-from cosetlab.reductions import GroupConstraint, StructuredHspInstance, \
-    multi_intersection
+from cosetlab.reductions import GroupConstraint, StructuredHspInstance
 from cosetlab.search_decision import DecisionAnswer, QueryRecord
 
 
@@ -59,15 +58,15 @@ def test_brute_decide_examples():
     swap12 = parse_cycles("(1 2)", 3)
     inst = plant_hsp(s3, (swap12,), Side.LEFT)
 
-    same = multi_intersection(inst, [GroupConstraint(
+    same = StructuredHspInstance(inst, [GroupConstraint(
         FiniteGroup((swap12,), s3.identity))])
     assert brute_decide(same) is DecisionAnswer.NONTRIVIAL
 
-    other = multi_intersection(inst, [GroupConstraint(
+    other = StructuredHspInstance(inst, [GroupConstraint(
         FiniteGroup((parse_cycles("(1 3)", 3),), s3.identity))])
     assert brute_decide(other) is DecisionAnswer.TRIVIAL
 
-    trivial = multi_intersection(plant_hsp(s3, (), Side.LEFT), [])
+    trivial = StructuredHspInstance(plant_hsp(s3, (), Side.LEFT), [])
     assert brute_decide(trivial) is DecisionAnswer.TRIVIAL
 
 

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from cosetlab.cli import main, parse_element, parse_group
@@ -138,6 +139,33 @@ def test_deterministic_output_given_seed():
     second.pop("elapsed_s")
     assert first == second
 
+    # A flipping program draws from one seeded stream in call order, so its
+    # transcript repeats too; pinned to the serial output of earlier releases.
+    trivial = json.dumps(payload(run(["plant", "hsp", "--group", "s3"]))
+                         ["outputs"]["instance"])
+    args = ["--seed", "9", "check", "--program", "buggy:flip:0.3", "--k", "3",
+            "--runs", "2"]
+    first = payload(run(args, stdin=trivial))
+    second = payload(run(args, stdin=trivial))
+    first.pop("elapsed_s")
+    second.pop("elapsed_s")
+    assert first == second
+    assert [[(t["ok"], t["detail"]) for t in r["per_trial"]]
+            for r in first["outputs"]["runs"]] == [
+        [(False, "level 5 point 5: 0 accepted images"),
+         (False, "level 5 point 5: 2 accepted images"),
+         (False, "level 5 point 5: 2 accepted images")],
+        [(False, "level 5 point 5: 0 accepted images"),
+         (False, "level 4 point 4: 0 accepted images"),
+         (False, "level 5 point 6: 0 accepted images")]]
+
+
+def test_jobs_option_is_rejected():
+    planted = payload(run(["plant", "hsp", "--group", "s3"]))
+    result = CliRunner().invoke(main, ["--jobs", "2", "check"],
+                                input=json.dumps(planted["outputs"]["instance"]))
+    assert result.exit_code == 2
+
 
 def test_search_with_buggy_oracle_fails_loudly():
     planted = payload(run(["plant", "hsp", "--group", "d12", "--subgroup", "r5s"]))
@@ -204,3 +232,13 @@ def test_check_rejects_zero_k():
                               json.dumps(planted["outputs"]["instance"]))
     assert code == 2
     assert "--k" in error["error"]
+
+
+@pytest.mark.parametrize("spec", ["buggy:flip:abc", "buggy:wrong-if-order-gt:x",
+                                  "buggy:flip:-1", "buggy:wrong-if-order-gt:3:100"])
+def test_check_rejects_bad_program_spec(spec):
+    planted = payload(run(["plant", "hsp", "--group", "s3", "--subgroup", "(1 2)"]))
+    code, error = _error_exit(["check", "--program", spec],
+                              json.dumps(planted["outputs"]["instance"]))
+    assert code == 2
+    assert spec in error["error"]

@@ -14,10 +14,10 @@ from cosetlab.instances import (GroupAction, HspInstance, Side, plant_coset,
                                 verify_promise)
 from cosetlab.perms import Permutation, parse_cycles
 from cosetlab.reductions import (GammaSetStabilizer, GroupConstraint,
-                                 InvalidKGeneratorsError, PermSetStabilizer,
+                                 InvalidKGeneratorsError,
                                  StructuredHspInstance, embed_wreath_instance,
                                  ghsh_to_hsp, hidden_coset_to_hsp,
-                                 multi_intersection, orbit_coset_to_hsp,
+                                 orbit_coset_to_hsp,
                                  recover_coset_solution, recover_ghsh_functions,
                                  recover_orbit_solution)
 
@@ -306,7 +306,7 @@ def test_orbit_reduction_kernel_matches_stabilizer_structure():
 def test_multi_intersection_no_constraints():
     s3 = symmetric_group(3)
     inst = plant_hsp(s3, (parse_cycles("(1 2)", 3),), Side.LEFT)
-    structured = multi_intersection(inst, [])
+    structured = StructuredHspInstance(inst, [])
     assert keys(structured.diagonal_kernel()) == keys(inst.kernel())
 
 
@@ -315,11 +315,11 @@ def test_multi_intersection_examples():
     inst = plant_hsp(s3, (parse_cycles("(1 2)", 3),), Side.LEFT)
 
     same = GroupConstraint(FiniteGroup((parse_cycles("(1 2)", 3),), s3.identity))
-    structured = multi_intersection(inst, [same])
+    structured = StructuredHspInstance(inst, [same])
     assert len(structured.diagonal_kernel()) == 2
 
     other = GroupConstraint(FiniteGroup((parse_cycles("(1 3)", 3),), s3.identity))
-    structured2 = multi_intersection(inst, [other])
+    structured2 = StructuredHspInstance(inst, [other])
     assert keys(structured2.diagonal_kernel()) == {element_key(s3.identity)}
 
 
@@ -328,7 +328,7 @@ def test_multi_intersection_audit_oracle_matches_diagonal():
     sub = FiniteGroup((parse_cycles("(1 2)", 3),), s3.identity)
     inst = plant_hsp(s3, (parse_cycles("(1 2)", 3), parse_cycles("(1 3)", 3)),
                      Side.LEFT)
-    structured = multi_intersection(inst, [GroupConstraint(sub)])
+    structured = StructuredHspInstance(inst, [GroupConstraint(sub)])
     product = product_group([s3, sub])
     audit = HspInstance(product, structured.audit_oracle(), Side.LEFT)
     diag = keys(structured.diagonal_kernel())
@@ -337,13 +337,6 @@ def test_multi_intersection_audit_oracle_matches_diagonal():
                 for g in structured.diagonal_kernel()}
     assert keys(audit.kernel()) == expected
     assert verify_promise(audit)
-
-
-def test_perm_set_stabilizer_constraint():
-    c = PermSetStabilizer(4, frozenset({1, 2}))
-    assert c.contains(parse_cycles("(1 2)", 4))
-    assert c.contains(parse_cycles("(3 4)", 4))
-    assert not c.contains(parse_cycles("(2 3)", 4))
 
 
 def test_gamma_set_stabilizer_matches_embedding():

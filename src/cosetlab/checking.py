@@ -79,12 +79,10 @@ def brute_orbit_solve(inst: OrbitCosetInstance, cap: int = DEFAULT_CAP
 def brute_decide(structured: StructuredHspInstance,
                  cap: int = DEFAULT_CAP) -> DecisionAnswer:
     """Nontrivial iff some non-identity element shares the identity label and
-    lies in every constraint group."""
-    identity_key = element_key(structured.base.group.identity)
+    lies in every constraint group.  A structured base supplies its kernel
+    already filtered through its own constraints."""
     for g in structured.base.kernel(cap):
-        if element_key(g) == identity_key:
-            continue
-        if all(c.contains(g) for c in structured.constraints):
+        if all(c.contains(g) for c in structured.constraints) and not g.is_identity():
             return DecisionAnswer.NONTRIVIAL
     return DecisionAnswer.TRIVIAL
 

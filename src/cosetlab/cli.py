@@ -8,6 +8,7 @@ apart from the elapsed-time field.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -42,6 +43,16 @@ class InputError(click.ClickException):
     def show(self, file=None):
         print(json.dumps({"error": self.format_message()}))
         super().show(file)
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """Report the library's rejection of an argument as invalid input: the
+    constructors and planters raise ValueError, enumerations ExceedsCapError."""
+    try:
+        yield
+    except (ValueError, ExceedsCapError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _log(message: str) -> None:
@@ -124,6 +135,8 @@ def parse_action(shorthand: str, cap: int) -> GroupAction:
         return GroupAction(group, tuple(f"s{i}" for i in range(n)), (images,), cap)
     if parts[0] == "two-orbit" and len(parts) == 4:
         n, a, b = int(parts[1]), int(parts[2]), int(parts[3])
+        if min(n, a, b) < 1:
+            raise InputError("group and orbit sizes must be positive")
         if n % a or n % b:
             raise InputError("orbit sizes must divide the group order")
         group = cyclic_group(n)
@@ -177,11 +190,17 @@ def parse_program(spec_text: str, flavor: str, cap: int, seed: int):
 
 
 def _read_instance_json(path: str | None) -> dict:
-    raw = sys.stdin.read() if path in (None, "-") else open(path).read()
     try:
-        return json.loads(raw)
+        raw = sys.stdin.read() if path in (None, "-") else open(path).read()
+    except OSError as exc:
+        raise InputError(f"cannot read instance: {exc}")
+    try:
+        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed instance JSON: {exc}")
+    if not isinstance(data, dict):
+        raise InputError("instance JSON must be an object")
+    return data
 
 
 def _digest(data: dict) -> str:
@@ -215,6 +234,13 @@ def _load_and_verify(path, cap):
     return data, instance
 
 
+def _verified(inst, cap):
+    """A freshly planted instance, which must keep its own promise."""
+    if not verify_promise(inst, cap):
+        raise click.ClickException("planted instance failed its own promise")
+    return inst
+
+
 @click.group()
 @click.option("--seed", type=int, default=0, help="64-bit seed for all randomness.")
 @click.option("--cap", type=int, default=100_000, help="Enumeration cap.")
@@ -237,13 +263,12 @@ def plant():
 def plant_hsp_cmd(ctx, group_text, subgroup_text, side):
     started = time.monotonic()
     cap = ctx.obj["cap"]
-    group = parse_group(group_text)
-    gens = parse_elements(subgroup_text, group)
-    inst = plant_hsp(group, gens, Side(side), cap)
-    if not verify_promise(inst, cap):
-        raise click.ClickException("planted instance failed its own promise")
+    with _input_errors():
+        group = parse_group(group_text)
+        gens = parse_elements(subgroup_text, group)
+        inst = _verified(plant_hsp(group, gens, Side(side), cap), cap)
+        labels = {inst.oracle.evaluate(g) for g in group.elements(cap)}
     data = instance_to_json(inst)
-    labels = {inst.oracle.evaluate(g) for g in group.elements(cap)}
     _emit_report(ctx, {"instance": data, "distinct_labels": len(labels)},
                  {"oracle_evaluations": inst.oracle.evaluations}, _digest(data), started)
 
@@ -256,12 +281,11 @@ def plant_hsp_cmd(ctx, group_text, subgroup_text, side):
 def plant_coset_cmd(ctx, group_text, subgroup_text, shift_text):
     started = time.monotonic()
     cap = ctx.obj["cap"]
-    group = parse_group(group_text)
-    gens = parse_elements(subgroup_text, group)
-    shift = parse_element(shift_text, group)
-    inst = plant_coset(group, gens, shift, cap)
-    if not verify_promise(inst, cap):
-        raise click.ClickException("planted instance failed its own promise")
+    with _input_errors():
+        group = parse_group(group_text)
+        gens = parse_elements(subgroup_text, group)
+        shift = parse_element(shift_text, group)
+        inst = _verified(plant_coset(group, gens, shift, cap), cap)
     data = instance_to_json(inst)
     _emit_report(ctx, {"instance": data},
                  {"oracle_evaluations": inst.f1.evaluations + inst.f2.evaluations},
@@ -276,11 +300,10 @@ def plant_coset_cmd(ctx, group_text, subgroup_text, shift_text):
 def plant_ghsh_cmd(ctx, group_text, shift_text, copies):
     started = time.monotonic()
     cap = ctx.obj["cap"]
-    group = parse_group(group_text)
-    shift = parse_element(shift_text, group)
-    inst = plant_ghsh(group, shift, copies, cap)
-    if not verify_promise(inst, cap):
-        raise click.ClickException("planted instance failed its own promise")
+    with _input_errors():
+        group = parse_group(group_text)
+        shift = parse_element(shift_text, group)
+        inst = _verified(plant_ghsh(group, shift, copies, cap), cap)
     data = instance_to_json(inst)
     _emit_report(ctx, {"instance": data},
                  {"oracle_evaluations": sum(f.evaluations for f in inst.functions)},
@@ -296,12 +319,11 @@ def plant_ghsh_cmd(ctx, group_text, shift_text, copies):
 def plant_orbit_cmd(ctx, action_text, phi1, shift_text):
     started = time.monotonic()
     cap = ctx.obj["cap"]
-    action = parse_action(action_text, cap)
-    shift = (None if shift_text.strip().lower() == "none"
-             else parse_element(shift_text, action.group))
-    inst = plant_orbit_coset(action, phi1, shift)
-    if not verify_promise(inst, cap):
-        raise click.ClickException("planted instance failed its own promise")
+    with _input_errors():
+        action = parse_action(action_text, cap)
+        shift = (None if shift_text.strip().lower() == "none"
+                 else parse_element(shift_text, action.group))
+        inst = _verified(plant_orbit_coset(action, phi1, shift), cap)
     data = instance_to_json(inst)
     _emit_report(ctx, {"instance": data}, {}, _digest(data), started)
 

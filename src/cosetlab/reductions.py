@@ -265,11 +265,13 @@ class GammaSetStabilizer(Constraint):
     pairs: frozenset[tuple[int, int]]
 
     def contains(self, x: GroupElement) -> bool:
+        # The action is a bijection, so mapping the set into itself is
+        # mapping it onto itself; the first point sent outside decides.
         if isinstance(x, WreathElement):
-            return {gamma_point_image(x, r, c) for (r, c) in self.pairs} == self.pairs
+            return all(gamma_point_image(x, r, c) in self.pairs for (r, c) in self.pairs)
         if isinstance(x, Permutation):
             flat = {r + (c - 1) * self.rows for (r, c) in self.pairs}
-            return {x.apply(p) for p in flat} == flat
+            return all(x.apply(p) in flat for p in flat)
         raise TypeError("doubled-point stabilizer needs wreath elements or permutations")
 
 
@@ -279,13 +281,22 @@ class StructuredHspInstance:
     Stands for the product-domain instance whose hidden subgroup is the
     diagonal copy of (base hidden subgroup) intersected with every constraint;
     the product is never materialized.  Solvers filter the base kernel through
-    the constraint predicates.  ``audit_oracle`` exposes the literal
-    product-domain function for small-case cross-checks.
+    the constraint predicates.  The base may itself be a structured instance:
+    intersection is associative, so nesting changes no kernel, and instances
+    sharing a constraint prefix share that prefix's filtered kernel, which
+    ``kernel`` computes once and caches.  ``audit_oracle`` exposes the
+    literal product-domain function for small-case cross-checks.
     """
 
-    def __init__(self, base: HspInstance, constraints: Sequence[Constraint] = ()):
+    def __init__(self, base: HspInstance | StructuredHspInstance,
+                 constraints: Sequence[Constraint] = ()):
         self.base = base
         self.constraints = tuple(constraints)
+        self._kernel: list[GroupElement] | None = None
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.base.group
 
     def diagonal_kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
         """Base-kernel elements satisfying every constraint (the diagonal,
@@ -293,9 +304,17 @@ class StructuredHspInstance:
         return [g for g in self.base.kernel(cap)
                 if all(c.contains(g) for c in self.constraints)]
 
+    def kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
+        """``diagonal_kernel``, computed on the first call and cached."""
+        if self._kernel is None:
+            self._kernel = self.diagonal_kernel(cap)
+        return self._kernel
+
     def audit_oracle(self) -> OracleFunction:
         """The product-domain function (f(g), g g_1^-1, ..., g g_k^-1) over
         tuple elements; for exhaustive comparison on small cases only."""
+        if not isinstance(self.base, HspInstance):
+            raise TypeError("the audit oracle needs a plain hidden-subgroup base")
         base_oracle = self.base.oracle
         k = len(self.constraints)
 

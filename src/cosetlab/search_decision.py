@@ -144,7 +144,9 @@ def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearc
 
     For each level i the base is the paired oracle over (pointwise stabilizer
     of 1..i-1) wreath the slot swap, constrained by three doubled-point
-    setwise stabilizers indexed by (i, j), (i, j'), (k, l).
+    setwise stabilizers indexed by (i, j), (i, j'), (k, l).  The queries
+    sharing (i, j, j') nest on one prefix instance holding the first two
+    constraints, so its filtered kernel is computed once for all (k, l).
     """
     identity = inst.group.identity
     if not isinstance(identity, Permutation):
@@ -173,15 +175,15 @@ def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearc
         base = HspInstance(wreath_group(level_group, 2, cap), paired, Side.LEFT)
         for j in range(i + 1, n + 1):
             for j2 in range(i + 1, n + 1):
+                prefix = StructuredHspInstance(base, (
+                    GammaSetStabilizer(n, frozenset({(i, 1), (j, 2)})),
+                    GammaSetStabilizer(n, frozenset({(i, 2), (j2, 1)})),
+                ))
                 for k in range(i, n + 1):
                     for ell in range(i, n + 1):
-                        constraints = (
-                            GammaSetStabilizer(n, frozenset({(i, 1), (j, 2)})),
-                            GammaSetStabilizer(n, frozenset({(i, 2), (j2, 1)})),
-                            GammaSetStabilizer(n, frozenset({(k, 1), (ell, 2)})),
-                        )
+                        last = GammaSetStabilizer(n, frozenset({(k, 1), (ell, 2)}))
                         batch.add((i, j, j2, k, ell),
-                                  StructuredHspInstance(base, constraints))
+                                  StructuredHspInstance(prefix, (last,)))
     return HspSearchPlan(inst, chain, batch)
 
 
@@ -259,7 +261,9 @@ def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
     At each level, first ask whether the current pair already relates on the
     next stabilizer; otherwise exactly one coset representative, composed onto
     the running translate, must make it so.  The answer composes bottom-up:
-    the representative found at the deepest level applies first.
+    the representative found at the deepest level applies first.  The
+    assembled translate must satisfy f1(id) = f2(u); as f2 is injective only
+    the true shift does, so a lying oracle raises NoShiftError.
     """
     identity = group.identity
     if not isinstance(identity, Permutation):
@@ -287,6 +291,8 @@ def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
         if found is None:
             raise NoShiftError(f"no translate accepted at level {i + 1}")
         acc = found.op(acc)
+    if f1.evaluate(identity) != f2.evaluate(acc):
+        raise NoShiftError("assembled translate does not relate the two functions")
     return acc
 
 

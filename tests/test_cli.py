@@ -181,6 +181,16 @@ def test_search_with_buggy_oracle_fails_loudly():
         input=json.dumps(planted2["outputs"]["instance"]))
     assert result2.exit_code == 1
 
+    shift = payload(run(["plant", "coset", "--group", "s3", "--subgroup", "",
+                         "--shift", "(1 2 3)"]))
+    for seed in range(4):
+        result3 = CliRunner().invoke(
+            main, ["--seed", str(seed), "search-via-decision",
+                   "--oracle", "buggy:always-nontrivial"],
+            input=json.dumps(shift["outputs"]["instance"]))
+        assert result3.exit_code == 1
+        assert "search failed" in result3.output
+
 
 def test_malformed_json_exits_2():
     result = CliRunner().invoke(main, ["solve"], input="{nope")
@@ -242,3 +252,29 @@ def test_check_rejects_bad_program_spec(spec):
                               json.dumps(planted["outputs"]["instance"]))
     assert code == 2
     assert spec in error["error"]
+
+
+@pytest.mark.parametrize("args, stdin", [
+    (["plant", "hsp", "--group", "s3", "--subgroup", "(1 5)"], None),
+    (["plant", "hsp", "--group", "s0"], None),
+    (["plant", "hsp", "--group", "z0"], None),
+    (["plant", "hsp", "--group", "d0"], None),
+    (["plant", "hsp", "--group", "s3", "--subgroup", "(1 2"], None),
+    (["plant", "hsp", "--group", "d6", "--subgroup", "rx"], None),
+    (["plant", "ghsh", "--group", "s3", "--shift", "(1 2)", "--copies", "1"], None),
+    (["plant", "orbit-coset", "--action", "cyclic:0"], None),
+    (["plant", "orbit-coset", "--action", "two-orbit:4:0:2"], None),
+    (["plant", "orbit-coset", "--action", "cyclic:4", "--phi1", "9"], None),
+    (["--cap", "10", "plant", "hsp", "--group", "s5"], None),
+    (["solve"], "[1, 2]"),
+    (["solve", "--in", "{missing}"], None),
+])
+def test_invalid_input_exits_2_with_json_error(args, stdin, tmp_path):
+    args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
+    result = CliRunner().invoke(main, args, input=stdin)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+    json_lines = [l for l in result.output.splitlines() if l.startswith("{")]
+    assert json_lines and json.loads(json_lines[0])["error"]
+

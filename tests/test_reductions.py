@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from click.testing import CliRunner
 from cosetlab.cli import main
 from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
                              close_under_op, cyclic_group, element_from_json,
-                             element_key, group_op,
+                             element_key, gamma_point_image, group_op,
                              invert, product_group, symmetric_group, wreath_embed,
                              wreath_group)
 from cosetlab.instances import (GroupAction, HspInstance, Side, plant_coset,
@@ -341,16 +342,34 @@ def test_multi_intersection_audit_oracle_matches_diagonal():
 
 def test_gamma_set_stabilizer_matches_embedding():
     wr = wreath_group(symmetric_group(3), 2)
-    pair_sets = [frozenset({(1, 1), (2, 2)}), frozenset({(1, 2), (3, 1)}),
-                 frozenset({(2, 1), (2, 2)})]
-    for pairs in pair_sets:
+    points = [(r, c) for r in (1, 2, 3) for c in (1, 2)]
+    for pairs in map(frozenset, itertools.combinations(points, 2)):
         constraint = GammaSetStabilizer(3, pairs)
         flat = {r + (c - 1) * 3 for (r, c) in pairs}
         for w in wr.elements():
             direct = constraint.contains(w)
+            assert direct == ({gamma_point_image(w, r, c) for (r, c) in pairs} == pairs)
             embedded = wreath_embed(w)
             assert direct == ({embedded.apply(p) for p in flat} == flat)
             assert direct == constraint.contains(embedded)
+
+
+def test_nested_structured_instance_matches_flat_constraints():
+    s3 = symmetric_group(3)
+    inst = plant_hsp(s3, (parse_cycles("(1 2)", 3), parse_cycles("(1 3)", 3)),
+                     Side.LEFT)
+    first = GroupConstraint(FiniteGroup((parse_cycles("(1 2 3)", 3),), s3.identity))
+    second = GroupConstraint(FiniteGroup((parse_cycles("(1 2)", 3),
+                                          parse_cycles("(1 3)", 3)), s3.identity))
+    prefix = StructuredHspInstance(inst, [first])
+    nested = StructuredHspInstance(prefix, [second])
+    flat = StructuredHspInstance(inst, [first, second])
+    assert nested.group is inst.group
+    assert keys(nested.kernel()) == keys(flat.diagonal_kernel()) == closure_keys(
+        [parse_cycles("(1 2 3)", 3)], s3.identity)
+    assert prefix.kernel() is prefix.kernel()
+    with pytest.raises(TypeError):
+        nested.audit_oracle()
 
 
 def test_embed_wreath_instance_transports_kernel():

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from cosetlab.checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
-                               BruteForceShiftOracle, BugSpec, wrap_buggy)
+                               BruteForceShiftOracle, BugSpec, _translated_instance,
+                               brute_decide, wrap_buggy)
 from cosetlab.groups import (DihedralElement, close_under_op, cyclic_group,
                              dihedral_group, element_key, group_op, invert,
                              symmetric_group)
 from cosetlab.instances import Side, plant_coset, plant_hsp
-from cosetlab.perms import parse_cycles
+from cosetlab.perms import build_stabilizer_chain, parse_cycles
+from cosetlab.reductions import GammaSetStabilizer, StructuredHspInstance
 from cosetlab.search_decision import (DecisionAnswer, NoShiftError, NotSmoothError,
                                       OracleInconsistentError, SmoothFactorization,
                                       build_hsp_search_plan, crt_combine,
@@ -120,6 +122,33 @@ def test_search_matches_planted_truth_s3_s4():
                 assert element_key(found) in hidden
 
 
+def test_nested_plan_queries_match_flat_constraints():
+    """Each query nests on the prefix instance of its (i, j, j'); its answer
+    must equal that of the query built with all three constraints flat."""
+    instances = [plant_hsp(group, gens, Side.LEFT)
+                 for group in (symmetric_group(3), symmetric_group(4))
+                 for gens in subgroups_of(group)]
+    s3 = symmetric_group(3)
+    chain = build_stabilizer_chain(s3.generators, 3)
+    instances.append(_translated_instance(plant_hsp(s3, (), Side.LEFT),
+                                          random.Random(5), chain)[1])
+    seen = set()
+    for inst in instances:
+        plan = build_hsp_search_plan(inst)
+        n = plan.chain.degree
+        for record in plan.batch.records:
+            i, j, j2, k, ell = record.index
+            level = record.instance.base.base
+            flat = StructuredHspInstance(level, (
+                GammaSetStabilizer(n, frozenset({(i, 1), (j, 2)})),
+                GammaSetStabilizer(n, frozenset({(i, 2), (j2, 1)})),
+                GammaSetStabilizer(n, frozenset({(k, 1), (ell, 2)}))))
+            answer = brute_decide(record.instance)
+            assert answer is brute_decide(flat), record.index
+            seen.add(answer)
+    assert seen == set(DecisionAnswer)
+
+
 def test_search_rejects_inconsistent_oracle():
     s3 = symmetric_group(3)
     trivial = plant_hsp(s3, (), Side.LEFT)
@@ -186,6 +215,16 @@ def test_shift_search_unrelated_functions():
     rogue = OracleFunction(lambda g: scramble[element_key(g)])
     with pytest.raises(NoShiftError):
         hsh_search_via_decision(s3, hc.f1, rogue, BruteForceShiftOracle())
+
+
+def test_shift_search_rejects_lying_oracle():
+    s3 = symmetric_group(3)
+    hc = plant_coset(s3, (), parse_cycles("(1 2 3)", 3))
+    liar = wrap_buggy(BruteForceShiftOracle(), BugSpec("always_nontrivial"))
+    before = hc.f1.evaluations + hc.f2.evaluations
+    with pytest.raises(NoShiftError):
+        hsh_search_via_decision(s3, hc.f1, hc.f2, liar)
+    assert hc.f1.evaluations + hc.f2.evaluations == before + 2
 
 
 # -- dihedral search -------------------------------------------------------------

@@ -380,8 +380,7 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
             break
     transcript.append(TrialRecord("members", "claimed generators lie in the subgroup",
                                   members_ok, detail))
-    claimed_closure = {element_key(g)
-                       for g in close_under_op(claimed, inst.group.identity, cap)}
+    claimed_closure = set(close_under_op(claimed, inst.group.identity, cap))
 
     def judge(t, u, flat):
         claimed_emb, _ = program.answer(flat)
@@ -390,12 +389,11 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
             sub_gens, u_prime = recover_coset_solution(k_gens, inst.group)
         except (InvalidKGeneratorsError, ValueError) as exc:
             return TrialRecord(t, "translate trial", False, str(exc))
-        recovered = {element_key(g)
-                     for g in close_under_op(sub_gens, inst.group.identity, cap)}
+        recovered = set(close_under_op(sub_gens, inst.group.identity, cap))
         if recovered != claimed_closure:
             return TrialRecord(t, "translate trial", False,
                                "recovered subgroup differs from the claimed one")
-        if element_key(group_op(u_prime, invert(u))) not in claimed_closure:
+        if group_op(u_prime, invert(u)) not in claimed_closure:
             return TrialRecord(t, "translate trial", False,
                                "recovered shift lies outside the claimed coset")
         return TrialRecord(t, "translate trial", True)

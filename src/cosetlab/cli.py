@@ -27,11 +27,11 @@ from .instances import (GhshInstance, GroupAction, HiddenCosetInstance,
                         HspInstance, OrbitCosetInstance, Side, instance_from_json,
                         instance_to_json, plant_coset, plant_ghsh, plant_hsp,
                         plant_orbit_coset, verify_promise)
-from .perms import ExceedsCapError, parse_cycles
+from .perms import ExceedsCapError, Permutation, parse_cycles
 from .reductions import instance_from_json_any, reduced_instance_to_json
-from .search_decision import (NoShiftError, NotSmoothError,
-                              OracleInconsistentError, dihedral_search_via_decision,
-                              hsh_search_via_decision, hsp_search_via_decision)
+from .search_decision import (NoShiftError, OracleInconsistentError,
+                              dihedral_search_via_decision, hsh_search_via_decision,
+                              hsp_search_via_decision, smooth_factorize)
 from .selftest import SUITES, run_suites
 
 
@@ -224,7 +224,7 @@ def _load_and_verify(path, cap):
     data = _read_instance_json(path)
     try:
         instance = instance_from_json_any(data, cap)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ExceedsCapError) as exc:
         raise InputError(f"bad instance: {exc}")
     try:
         if not verify_promise(instance, cap):
@@ -340,8 +340,11 @@ def reduce_cmd(ctx, path):
         reduced_json = reduced_instance_to_json(data)
     except ValueError as exc:
         raise InputError(str(exc))
-    reduced = instance_from_json_any(reduced_json, cap)
-    ok = verify_promise(reduced, cap)
+    try:
+        reduced = instance_from_json_any(reduced_json, cap)
+        ok = verify_promise(reduced, cap)
+    except ExceedsCapError as exc:
+        raise InputError(str(exc))
     if not ok:
         raise click.ClickException("reduced instance failed its promise")
     _emit_report(ctx, {"instance": reduced_json,
@@ -360,6 +363,14 @@ def solve_cmd(ctx, path):
     started = time.monotonic()
     cap = ctx.obj["cap"]
     data, instance = _load_and_verify(path, cap)
+    try:
+        outputs, counters = _solve(instance, cap)
+    except ExceedsCapError as exc:
+        raise InputError(str(exc))
+    _emit_report(ctx, outputs, counters, _digest(data), started)
+
+
+def _solve(instance, cap):
     if isinstance(instance, HspInstance):
         gens = brute_hsp_solve(instance, cap)
         outputs = {"subgroup_generators": [element_to_json(g) for g in gens]}
@@ -383,7 +394,7 @@ def solve_cmd(ctx, path):
         counters = {}
     else:
         raise InputError("unsolvable instance kind")
-    _emit_report(ctx, outputs, counters, _digest(data), started)
+    return outputs, counters
 
 
 @main.command("search-via-decision")
@@ -405,6 +416,8 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
         if isinstance(instance, HspInstance):
             ident = instance.group.identity
             if isinstance(ident, DihedralElement):
+                with _input_errors():
+                    smooth_factorize(ident.rotations, smooth_bound)
                 oracle = BruteForceDihedralOracle(cap)
                 oracle = oracle if bug is None else wrap_buggy(oracle, bug)
                 residue = dihedral_search_via_decision(ident.rotations, smooth_bound,
@@ -415,6 +428,9 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
                 counters = {"decision_queries": oracle.calls,
                             "oracle_evaluations": instance.oracle.evaluations}
             else:
+                if not isinstance(ident, Permutation):
+                    raise InputError("hidden subgroup search runs over permutation "
+                                     "and dihedral groups")
                 oracle = parse_program(oracle_text, "decision", cap, seed)
                 found = hsp_search_via_decision(instance, oracle, cap)
                 outputs = {"found": None if found is None else element_to_json(found)}
@@ -426,6 +442,8 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
             if instance.planted_subgroup:
                 raise InputError(
                     "shift search needs injective functions; plant with an empty subgroup")
+            if not isinstance(instance.group.identity, Permutation):
+                raise InputError("shift search runs over permutation groups")
             oracle = BruteForceShiftOracle(cap)
             oracle = oracle if bug is None else wrap_buggy(oracle, bug)
             found = hsh_search_via_decision(instance.group, instance.f1, instance.f2,
@@ -439,8 +457,10 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
         else:
             raise InputError("search-via-decision expects an hsp, dihedral, or "
                              "hidden-shift instance")
-    except (OracleInconsistentError, NoShiftError, NotSmoothError) as exc:
+    except (OracleInconsistentError, NoShiftError) as exc:
         raise click.ClickException(f"search failed: {exc}")
+    except ExceedsCapError as exc:
+        raise InputError(str(exc))
     if querylog is not None:
         outputs["querylog"] = querylog
     _emit_report(ctx, outputs, counters, _digest(data), started)
@@ -464,12 +484,19 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
     data, instance = _load_and_verify(path, cap)
     if not isinstance(instance, HspInstance):
         raise InputError("checkers take hidden-subgroup instances")
+    if not isinstance(instance.group.identity, Permutation):
+        raise InputError("checkers run over permutation groups")
+    if instance.side is not Side.LEFT:
+        raise InputError("checkers need label-distinct left cosets; plant with the left side")
     per_run = []
     counts = {"CORRECT": 0, "BUGGY": 0}
     for run in range(runs):
         program = parse_program(program_text, flavor, cap, seed + run)
         checker = checker_hspD if flavor == "decision" else checker_hsp
-        verdict = checker(program, instance, k, seed=seed + run, cap=cap)
+        try:
+            verdict = checker(program, instance, k, seed=seed + run, cap=cap)
+        except ExceedsCapError as exc:
+            raise InputError(str(exc))
         counts[verdict.verdict] += 1
         per_run.append({
             "verdict": verdict.verdict,
@@ -493,6 +520,8 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
 def selftest_cmd(ctx, suites, max_degree):
     """Run the built-in property sweeps and report pass counts."""
     started = time.monotonic()
+    if max_degree < 3:
+        raise InputError(f"--max-degree must be at least 3, got {max_degree}")
     names = sorted(SUITES) if "all" in suites else list(suites)
     results = run_suites(names, max_degree=max_degree, seed=ctx.obj["seed"])
     outputs = {"suites": [

@@ -12,6 +12,15 @@ permutation slots acts on the doubled point set and embeds into a symmetric
 group of twice the degree; the embedding here is arranged to be a
 homomorphism under left-to-right composition (the slot acting on a column is
 the one indexed by the column's destination).
+
+Elements are validated where they enter: the public constructors and
+:func:`element_from_json`.  Results of ``op``, ``inverse`` and the element
+streams of the standard constructions are well formed by construction and
+are built without re-checking.  Equal elements are exactly those with equal
+:func:`element_key`, and every shape hashes, so dictionaries and sets of
+elements are keyed by the elements themselves; ``element_key`` orders them
+and serves as a label (and keys the planted oracles' label tables, see
+:mod:`cosetlab.instances`).
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Union
 
 from .perms import ExceedsCapError, Permutation, compose
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class ShapeMismatchError(ValueError):
@@ -36,19 +48,23 @@ class CyclicElement:
     value: int
 
     def __post_init__(self):
+        if not type(self.modulus) is type(self.value) is int:
+            raise ValueError(f"modulus and value must be integers: {self!r}")
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "value", self.value % self.modulus)
 
     def op(self, other: "CyclicElement") -> "CyclicElement":
-        _check_shape(self, other)
-        return CyclicElement(self.modulus, self.value + other.value)
+        m = self.modulus
+        if type(other) is not CyclicElement or other.modulus != m:
+            _check_shape(self, other)
+        return _cyclic(m, (self.value + other.value) % m)
 
     def inverse(self) -> "CyclicElement":
-        return CyclicElement(self.modulus, -self.value)
+        return _cyclic(self.modulus, -self.value % self.modulus)
 
     def identity_like(self) -> "CyclicElement":
-        return CyclicElement(self.modulus, 0)
+        return _cyclic(self.modulus, 0)
 
     def is_identity(self) -> bool:
         return self.value == 0
@@ -73,6 +89,8 @@ class DihedralElement:
     flip: int
 
     def __post_init__(self):
+        if not type(self.rotations) is type(self.rot) is type(self.flip) is int:
+            raise ValueError(f"rotations, rot and flip must be integers: {self!r}")
         if self.rotations < 1:
             raise ValueError("rotation order must be positive")
         if self.flip not in (0, 1):
@@ -80,18 +98,19 @@ class DihedralElement:
         object.__setattr__(self, "rot", self.rot % self.rotations)
 
     def op(self, other: "DihedralElement") -> "DihedralElement":
-        _check_shape(self, other)
-        sign = -1 if self.flip else 1
-        return DihedralElement(self.rotations, self.rot + sign * other.rot,
-                               self.flip ^ other.flip)
+        n = self.rotations
+        if type(other) is not DihedralElement or other.rotations != n:
+            _check_shape(self, other)
+        rot = self.rot - other.rot if self.flip else self.rot + other.rot
+        return _dihedral(n, rot % n, self.flip ^ other.flip)
 
     def inverse(self) -> "DihedralElement":
         if self.flip:
             return self
-        return DihedralElement(self.rotations, -self.rot, 0)
+        return _dihedral(self.rotations, -self.rot % self.rotations, 0)
 
     def identity_like(self) -> "DihedralElement":
-        return DihedralElement(self.rotations, 0, 0)
+        return _dihedral(self.rotations, 0, 0)
 
     def is_identity(self) -> bool:
         return self.rot == 0 and self.flip == 0
@@ -107,8 +126,9 @@ class WreathElement:
     """Tuple of same-shape slot elements plus a cyclic slot shift.
 
     A plain slotted class rather than a dataclass: wreath elements are
-    constructed by the million when structured groups are streamed, so
-    construction stays minimal.  Instances are immutable by convention.
+    constructed by the million when structured groups are streamed, so the
+    algebra builds them through :func:`_wreath` without the slot check the
+    public constructor makes.  Instances are immutable by convention.
     """
 
     __slots__ = ("slots", "shift")
@@ -117,6 +137,8 @@ class WreathElement:
         n = len(slots)
         if n < 1:
             raise ValueError("wreath element needs at least one slot")
+        if type(shift) is not int:
+            raise ValueError(f"shift must be an integer, got {shift!r}")
         first = type(slots[0])
         for s in slots:
             if type(s) is not first:
@@ -141,17 +163,17 @@ class WreathElement:
     def op(self, other: "WreathElement") -> "WreathElement":
         _check_shape(self, other)
         n = len(self.slots)
-        slots = tuple(group_op(self.slots[(j + other.shift) % n], other.slots[j])
-                      for j in range(n))
-        return WreathElement(slots, self.shift + other.shift)
+        mine, theirs, t = self.slots, other.slots, other.shift
+        slots = tuple([group_op(mine[(j + t) % n], theirs[j]) for j in range(n)])
+        return _wreath(slots, (self.shift + t) % n)
 
     def inverse(self) -> "WreathElement":
         n = len(self.slots)
-        slots = tuple(invert(self.slots[(m - self.shift) % n]) for m in range(n))
-        return WreathElement(slots, -self.shift)
+        slots = tuple([invert(self.slots[(m - self.shift) % n]) for m in range(n)])
+        return _wreath(slots, -self.shift % n)
 
     def identity_like(self) -> "WreathElement":
-        return WreathElement(tuple(s.identity_like() for s in self.slots), 0)
+        return _wreath(tuple([s.identity_like() for s in self.slots]), 0)
 
     def is_identity(self) -> bool:
         return self.shift == 0 and all(s.is_identity() for s in self.slots)
@@ -193,6 +215,31 @@ GroupElement = Union[Permutation, CyclicElement, DihedralElement, WreathElement,
                      TupleElement]
 
 
+# Trusted constructors: the algebra's own results, already well formed.
+
+def _cyclic(modulus: int, value: int) -> CyclicElement:
+    x = _new(CyclicElement)
+    _set(x, "modulus", modulus)
+    _set(x, "value", value)
+    return x
+
+
+def _dihedral(rotations: int, rot: int, flip: int) -> DihedralElement:
+    x = _new(DihedralElement)
+    _set(x, "rotations", rotations)
+    _set(x, "rot", rot)
+    _set(x, "flip", flip)
+    return x
+
+
+def _wreath(slots: tuple, shift: int) -> WreathElement:
+    """``slots`` a tuple of one shape, ``shift`` already reduced mod its length."""
+    w = _new(WreathElement)
+    w.slots = slots
+    w.shift = shift
+    return w
+
+
 def _check_shape(x: GroupElement, y: GroupElement) -> None:
     if type(x) is not type(y):
         raise ShapeMismatchError(f"cannot combine {type(x).__name__} with {type(y).__name__}")
@@ -212,10 +259,10 @@ def _check_shape(x: GroupElement, y: GroupElement) -> None:
 
 def group_op(x: GroupElement, y: GroupElement) -> GroupElement:
     """The shared multiplication; for permutations this reads left to right."""
-    if isinstance(x, Permutation) and isinstance(y, Permutation):
-        return compose(x, y)
     if type(x) is not type(y):
         raise ShapeMismatchError(f"cannot combine {type(x).__name__} with {type(y).__name__}")
+    if type(x) is Permutation:
+        return compose(x, y)
     return x.op(y)
 
 
@@ -259,6 +306,14 @@ def element_to_json(x: GroupElement):
 
 
 def element_from_json(data) -> GroupElement:
+    """Parse and validate a JSON element; any malformed input raises ValueError."""
+    try:
+        return _element_from_json(data)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed element {data!r}: {exc!r}") from exc
+
+
+def _element_from_json(data) -> GroupElement:
     kind = data.get("kind")
     if kind == "perm":
         return Permutation(tuple(data["images"]))
@@ -267,10 +322,10 @@ def element_from_json(data) -> GroupElement:
     if kind == "dihedral":
         return DihedralElement(data["rotations"], data["rot"], data["flip"])
     if kind == "wreath":
-        return WreathElement(tuple(element_from_json(s) for s in data["slots"]),
+        return WreathElement(tuple(_element_from_json(s) for s in data["slots"]),
                              data["shift"])
     if kind == "tuple":
-        return TupleElement(tuple(element_from_json(s) for s in data["items"]))
+        return TupleElement(tuple(_element_from_json(s) for s in data["items"]))
     raise ValueError(f"unknown element kind: {kind!r}")
 
 
@@ -296,7 +351,7 @@ class FiniteGroup:
     elements_hint: Callable[[], Iterable[GroupElement]] | None = None
     known_order: int | None = None
     _elements: list[GroupElement] | None = field(default=None, repr=False)
-    _member_keys: frozenset | None = field(default=None, repr=False)
+    _members: frozenset | None = field(default=None, repr=False)
 
     def __init__(self, generators: Iterable[GroupElement], identity: GroupElement,
                  name: str = "", elements_hint=None, known_order: int | None = None):
@@ -306,7 +361,7 @@ class FiniteGroup:
         self.elements_hint = elements_hint
         self.known_order = known_order
         self._elements = None
-        self._member_keys = None
+        self._members = None
 
     def iter_elements(self, cap: int = DEFAULT_CAP) -> Iterator[GroupElement]:
         """Stream every element once, without forcing the list into memory.
@@ -349,9 +404,9 @@ class FiniteGroup:
         return sum(1 for _ in self.iter_elements(cap))
 
     def contains(self, x: GroupElement, cap: int = DEFAULT_CAP) -> bool:
-        if self._member_keys is None:
-            self._member_keys = frozenset(element_key(g) for g in self.elements(cap))
-        return element_key(x) in self._member_keys
+        if self._members is None:
+            self._members = frozenset(self.elements(cap))
+        return x in self._members
 
     def sorted_elements(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
         return sorted(self.elements(cap), key=element_key)
@@ -365,7 +420,7 @@ def close_under_op(seeds: Iterable[GroupElement], identity: GroupElement,
                    cap: int = DEFAULT_CAP) -> list[GroupElement]:
     """Breadth-first closure from the identity, layers tie-broken by serialized form."""
     gens = sorted(seeds, key=element_key)
-    seen = {element_key(identity): identity}
+    seen = {identity}
     out = [identity]
     frontier = [identity]
     while frontier:
@@ -373,9 +428,8 @@ def close_under_op(seeds: Iterable[GroupElement], identity: GroupElement,
         for a in frontier:
             for g in gens:
                 b = group_op(a, g)
-                k = element_key(b)
-                if k not in seen:
-                    seen[k] = b
+                if b not in seen:
+                    seen.add(b)
                     nxt.append(b)
                     if len(seen) > cap:
                         raise ExceedsCapError(f"closure exceeds cap {cap}")
@@ -394,12 +448,12 @@ def reduce_generators(elements: Iterable[GroupElement], identity: GroupElement,
     """Greedy small generating set: add canonical-order elements until they span."""
     todo = sorted(elements, key=element_key)
     gens: list[GroupElement] = []
-    span = {element_key(identity)}
+    span = {identity}
     for x in todo:
-        if element_key(x) in span:
+        if x in span:
             continue
         gens.append(x)
-        span = {element_key(e) for e in close_under_op(gens, identity, cap)}
+        span = set(close_under_op(gens, identity, cap))
     return gens
 
 
@@ -418,7 +472,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 def cyclic_group(m: int) -> FiniteGroup:
     gens = [CyclicElement(m, 1)] if m > 1 else []
     return FiniteGroup(gens, CyclicElement(m, 0), name=f"Z{m}",
-                       elements_hint=lambda: [CyclicElement(m, v) for v in range(m)],
+                       elements_hint=lambda: [_cyclic(m, v) for v in range(m)],
                        known_order=m)
 
 
@@ -426,9 +480,23 @@ def dihedral_group(n: int) -> FiniteGroup:
     gens = [DihedralElement(n, 1, 0), DihedralElement(n, 0, 1)]
     return FiniteGroup(
         gens, DihedralElement(n, 0, 0), name=f"D{n}",
-        elements_hint=lambda: [DihedralElement(n, r, f)
-                               for f in (0, 1) for r in range(n)],
+        elements_hint=lambda: [_dihedral(n, r, f) for f in (0, 1) for r in range(n)],
         known_order=2 * n)
+
+
+def dihedral_subgroup(n: int, step: int, offset: int) -> FiniteGroup:
+    """The subgroup <r^step, r^offset s> of the dihedral group of order 2n."""
+    step, offset = step % n, offset % n
+    gens = [DihedralElement(n, step, 0), DihedralElement(n, offset, 1)]
+    count = n // math.gcd(step, n) if step else 1
+
+    def listing():
+        rots = sorted({(k * step) % n for k in range(count)})
+        return ([_dihedral(n, r, 0) for r in rots]
+                + [_dihedral(n, (r + offset) % n, 1) for r in rots])
+
+    return FiniteGroup(gens, _dihedral(n, 0, 0), name=f"<r^{step}, r^{offset}s>",
+                       elements_hint=listing, known_order=2 * count)
 
 
 def wreath_group(base: FiniteGroup, copies: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -444,10 +512,7 @@ def wreath_group(base: FiniteGroup, copies: int, cap: int = DEFAULT_CAP) -> Fini
     gens.append(WreathElement((e,) * copies, 1))
 
     def all_elements():
-        base_elems = base.elements(cap)
-        return (WreathElement(slots, t)
-                for t in range(copies)
-                for slots in itertools.product(base_elems, repeat=copies))
+        return _wreath_stream(base.elements(cap), copies)
 
     known = None
     if base.known_order is not None:
@@ -455,6 +520,17 @@ def wreath_group(base: FiniteGroup, copies: int, cap: int = DEFAULT_CAP) -> Fini
     return FiniteGroup(gens, WreathElement((e,) * copies, 0),
                        name=f"{base.name or 'G'} wr Z{copies}",
                        elements_hint=all_elements, known_order=known)
+
+
+def _wreath_stream(base_elems: list[GroupElement], copies: int) -> Iterator[WreathElement]:
+    """Every wreath element over ``base_elems``, shift-major; :func:`_wreath`
+    written out inline, since this loop runs once per element streamed."""
+    for t in range(copies):
+        for slots in itertools.product(base_elems, repeat=copies):
+            w = _new(WreathElement)
+            w.slots = slots
+            w.shift = t
+            yield w
 
 
 def product_group(factors: list[FiniteGroup], cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -488,12 +564,18 @@ def group_to_json(g: FiniteGroup):
 
 
 def group_from_json(data) -> FiniteGroup:
+    """Parse and validate a JSON group: the identity must be one, and every
+    generator must share its shape."""
     if "degree" in data:
-        n = data["degree"]
+        identity = Permutation.identity(data["degree"])
         gens = [Permutation(tuple(images)) for images in data["generators"]]
-        return FiniteGroup(gens, Permutation.identity(n))
-    identity = element_from_json(data["identity"])
-    gens = [element_from_json(x) for x in data["generators"]]
+    else:
+        identity = element_from_json(data["identity"])
+        gens = [element_from_json(x) for x in data["generators"]]
+        if not identity.is_identity():
+            raise ValueError(f"group identity {identity} is not an identity element")
+    for g in gens:
+        _check_shape(identity, g)
     return FiniteGroup(gens, identity)
 
 

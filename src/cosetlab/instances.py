@@ -61,20 +61,23 @@ class OracleFunction:
 
 def _coset_label_table(elements: list[GroupElement], subgroup: list[GroupElement],
                        side: Side) -> dict:
-    """Label map assigning each coset the serialized form of its least member.
+    """Label map assigning each coset the serialized form of its least member,
+    keyed by each member's serialized form.
 
     Sweeping the sorted element list guarantees the first unlabeled member of
-    a coset is its minimum, so the label is canonical.
+    a coset is its minimum, so the label is canonical.  Unlike the other
+    element maps this one is keyed by ``element_key``: the planted oracles
+    look it up with elements their callers have just built, and for flat
+    shapes a key tuple hashes and compares in C, where an element would call
+    its ``__hash__`` and ``__eq__`` in Python.
     """
     table: dict = {}
     for g in sorted(elements, key=element_key):
-        gk = element_key(g)
-        if gk in table:
+        label = element_key(g)
+        if label in table:
             continue
-        label = gk
         for h in subgroup:
-            member = group_op(g, h) if side is Side.LEFT else group_op(h, g)
-            table[element_key(member)] = label
+            table[element_key(group_op(g, h) if side is Side.LEFT else group_op(h, g))] = label
     return table
 
 
@@ -99,9 +102,9 @@ class HspInstance:
         which streams the group so large structured groups are never held in
         memory at once."""
         if self._kernel is None:
-            base = self.oracle.evaluate(self.group.identity)
-            self._kernel = [g for g in self.group.iter_elements(cap)
-                            if self.oracle.evaluate(g) == base]
+            evaluate = self.oracle.evaluate
+            base = evaluate(self.group.identity)
+            self._kernel = [g for g in self.group.iter_elements(cap) if evaluate(g) == base]
         return self._kernel
 
 
@@ -190,37 +193,36 @@ class GroupAction:
     def _build(self, cap: int) -> None:
         ident = self.group.identity
         m = len(self.states)
-        self._perms[element_key(ident)] = tuple(range(m))
+        self._perms[ident] = tuple(range(m))
         frontier = [ident]
         elems = [ident]
         while frontier:
             nxt = []
             for x in frontier:
-                px = self._perms[element_key(x)]
+                px = self._perms[x]
                 for g, row in zip(self.group.generators, self.generator_images):
                     y = group_op(x, g)
                     # left action: (x g) . s = x . (g . s)
                     py = tuple(px[row[s]] for s in range(m))
-                    ky = element_key(y)
-                    if ky not in self._perms:
-                        self._perms[ky] = py
+                    if y not in self._perms:
+                        self._perms[y] = py
                         nxt.append(y)
                         elems.append(y)
                         if len(self._perms) > cap:
                             raise ExceedsCapError(f"action closure exceeds cap {cap}")
-                    elif self._perms[ky] != py:
+                    elif self._perms[y] != py:
                         raise ValueError("generator table does not extend to a group action")
             frontier = nxt
         # homomorphism property on the closure, generator by generator
         for x in elems:
-            px = self._perms[element_key(x)]
+            px = self._perms[x]
             for g, row in zip(self.group.generators, self.generator_images):
                 expected = tuple(px[row[s]] for s in range(m))
-                if self._perms[element_key(group_op(x, g))] != expected:
+                if self._perms[group_op(x, g)] != expected:
                     raise ValueError("generator table does not extend to a group action")
 
     def act(self, x: GroupElement, state: int) -> int:
-        perm = self._perms.get(element_key(x))
+        perm = self._perms.get(x)
         if perm is None:
             raise ValueError("element outside the acting group")
         return perm[state]
@@ -352,9 +354,11 @@ def verify_promise(instance, cap: int = DEFAULT_CAP) -> bool:
     raise TypeError(f"not an instance: {instance!r}")
 
 
-def _is_closed(kernel: list[GroupElement], kernel_keys: set) -> bool:
-    return all(element_key(group_op(a, b)) in kernel_keys
-               for a in kernel for b in kernel)
+_MISSING = object()
+
+
+def _is_closed(kernel: list[GroupElement], kernel_set: set) -> bool:
+    return all(group_op(a, b) in kernel_set for a in kernel for b in kernel)
 
 
 def _verify_hsp(inst: HspInstance, cap: int) -> bool:
@@ -371,12 +375,12 @@ def _verify_hsp(inst: HspInstance, cap: int) -> bool:
     covered checks every coset exactly once.
     """
     elems = inst.group.elements(cap)
-    labels = {element_key(g): inst.oracle.evaluate(g) for g in elems}
-    base = labels[element_key(inst.group.identity)]
-    kernel = [g for g in elems if labels[element_key(g)] == base]
-    kernel_keys = {element_key(g) for g in kernel}
+    labels = {g: inst.oracle.evaluate(g) for g in elems}
+    base = labels[inst.group.identity]
+    kernel = [g for g, lab in labels.items() if lab == base]
+    kernel_set = set(kernel)
     if inst.planted_subgroup is None:
-        if not _is_closed(kernel, kernel_keys):
+        if not _is_closed(kernel, kernel_set):
             return False
     else:
         try:
@@ -384,27 +388,26 @@ def _verify_hsp(inst: HspInstance, cap: int) -> bool:
         except (ExceedsCapError, ValueError):
             # Planted generators of another shape, or a closure past the cap:
             # an unclosed kernel still fails the promise before that is raised.
-            if not _is_closed(kernel, kernel_keys):
+            if not _is_closed(kernel, kernel_set):
                 return False
             raise
-        if {element_key(g) for g in planted} != kernel_keys:
+        if set(planted) != kernel_set:
             return False
     left = inst.side is Side.LEFT
-    covered: set = set()
+    # Labels of the elements no checked coset covers yet; popping a member
+    # reads its label and marks it covered in one lookup.
+    uncovered = dict(labels)
     seen_labels: set = set()
-    for g in elems:
-        gk = element_key(g)
-        if gk in covered:
+    for g, lab in labels.items():
+        if g not in uncovered:
             continue
-        lab = labels[gk]
         if lab in seen_labels:
             return False
         seen_labels.add(lab)
         for h in kernel:
-            member = element_key(group_op(g, h) if left else group_op(h, g))
-            if labels[member] != lab:
+            member = group_op(g, h) if left else group_op(h, g)
+            if uncovered.pop(member, _MISSING) != lab:
                 return False
-            covered.add(member)
     return True
 
 
@@ -415,15 +418,15 @@ def _verify_coset(inst: HiddenCosetInstance, cap: int) -> bool:
     base = inst.f1.evaluate(inst.group.identity)
     kernel = [g for g in inst.group.elements(cap) if inst.f1.evaluate(g) == base]
     v = shifts[0]
-    expected = {element_key(group_op(h, v)) for h in kernel}
-    if {element_key(s) for s in shifts} != expected:
+    expected = {group_op(h, v) for h in kernel}
+    if set(shifts) != expected:
         return False
     if inst.planted_shift is not None:
-        if element_key(inst.planted_shift) not in expected:
+        if inst.planted_shift not in expected:
             return False
     if inst.planted_subgroup is not None:
         planted = close_under_op(inst.planted_subgroup, inst.group.identity, cap)
-        if {element_key(g) for g in planted} != {element_key(g) for g in kernel}:
+        if set(planted) != set(kernel):
             return False
     return True
 
@@ -438,7 +441,7 @@ def _verify_ghsh(inst: GhshInstance, cap: int) -> bool:
     if len(shifts) != 1:
         return False
     if inst.planted_shift is not None:
-        if element_key(shifts[0]) != element_key(inst.planted_shift):
+        if shifts[0] != inst.planted_shift:
             return False
     return True
 

@@ -3,6 +3,11 @@
 Composition reads left to right: the product ``p q`` applies ``p`` first and
 ``q`` second, so ``compose(p, q)`` maps ``x`` to ``q(p(x))``.  Points are
 1-based throughout; the serialized form of a permutation is its image array.
+
+Permutations are validated where they enter: the public constructor,
+:meth:`Permutation.from_cycles` and :func:`parse_cycles`.  Results of the
+algebra's own operations (products, inverses, identities, chain enumeration
+and sampling) are bijections by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -22,12 +27,15 @@ class Permutation:
         n = len(self.images)
         if n < 1:
             raise ValueError("permutation degree must be at least 1")
-        if sorted(self.images) != list(range(1, n + 1)):
+        if (not all(type(x) is int for x in self.images)
+                or sorted(self.images) != list(range(1, n + 1))):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        if n < 1:
+            raise ValueError("permutation degree must be at least 1")
+        return _perm(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
@@ -50,7 +58,7 @@ class Permutation:
         return self.images[x - 1]
 
     def is_identity(self) -> bool:
-        return all(img == x for x, img in enumerate(self.images, start=1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def op(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
@@ -59,7 +67,7 @@ class Permutation:
         out = [0] * len(self.images)
         for x, img in enumerate(self.images, start=1):
             out[img - 1] = x
-        return Permutation(tuple(out))
+        return _perm(tuple(out))
 
     def identity_like(self) -> "Permutation":
         return Permutation.identity(self.degree)
@@ -91,11 +99,23 @@ class Permutation:
         return format_cycles(self)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _perm(images: tuple[int, ...]) -> Permutation:
+    """Trusted constructor: ``images`` must already be a permutation tuple."""
+    p = _new(Permutation)
+    _set(p, "images", images)
+    return p
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply ``p`` first, then ``q``."""
-    if p.degree != q.degree:
+    qi = q.images
+    if len(p.images) != len(qi):
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    return Permutation(tuple(q.images[img - 1] for img in p.images))
+    return _perm(tuple([qi[img - 1] for img in p.images]))
 
 
 def format_cycles(p: Permutation) -> str:
@@ -227,20 +247,22 @@ def build_stabilizer_chain(gens: Iterable[Permutation], n: int) -> StabilizerCha
     for g in gens:
         if g.degree != n:
             raise ValueError(f"generator degree {g.degree} does not match {n}")
-    transversals: list[dict[int, Permutation]] = [
-        {i: Permutation.identity(n)} for i in range(1, n + 1)
-    ]
+    identity = Permutation.identity(n)
+    transversals: list[dict[int, Permutation]] = [{i: identity} for i in range(1, n + 1)]
+    # Each representative's inverse, stored when the representative is.
+    inverses: list[dict[int, Permutation]] = [{i: identity} for i in range(1, n + 1)]
 
     def insert(p: Permutation) -> bool:
         for lvl in range(n):
             if p.is_identity():
                 return False
-            b = p.apply(lvl + 1)
-            rep = transversals[lvl].get(b)
-            if rep is None:
+            b = p.images[lvl]
+            rep_inv = inverses[lvl].get(b)
+            if rep_inv is None:
                 transversals[lvl][b] = p
+                inverses[lvl][b] = p.inverse()
                 return True
-            p = compose(p, rep.inverse())
+            p = compose(p, rep_inv)
         return False
 
     for g in gens:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, GroupElement,
-                     wreath_group)
+                     dihedral_subgroup, wreath_group)
 from .instances import HspInstance, Label, OracleFunction, Side
 from .perms import Permutation, StabilizerChain, build_stabilizer_chain
 from .reductions import GammaSetStabilizer, StructuredHspInstance, paired_oracle
@@ -367,18 +367,7 @@ class DihedralSubgroupQuery:
         ident = self.instance.group.identity
         if not isinstance(ident, DihedralElement):
             raise TypeError("dihedral query needs a dihedral instance")
-        n = ident.rotations
-        step, offset = self.step % n, self.offset % n
-        gens = [DihedralElement(n, step, 0), DihedralElement(n, offset, 1)]
-        count = n // math.gcd(step, n) if step else 1
-
-        def listing():
-            rots = sorted({(k * step) % n for k in range(count)})
-            return ([DihedralElement(n, r, 0) for r in rots]
-                    + [DihedralElement(n, (r + offset) % n, 1) for r in rots])
-
-        return FiniteGroup(gens, ident.identity_like(), name=f"<r^{step}, r^{offset}s>",
-                           elements_hint=listing, known_order=2 * count)
+        return dihedral_subgroup(ident.rotations, self.step, self.offset)
 
 
 def dihedral_search_via_decision(n: int, bound: int, inst: HspInstance,

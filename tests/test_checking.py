@@ -10,11 +10,12 @@ from cosetlab.checking import (BruteForceDecisionOracle, BruteSearchProgram,
 from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
                              close_under_op, cyclic_group, element_key, group_op,
                              invert, symmetric_group, wreath_embed, wreath_unembed)
-from cosetlab.instances import (GroupAction, Side, plant_coset, plant_ghsh,
-                                plant_hsp, plant_orbit_coset)
+from cosetlab.instances import (GroupAction, OracleFunction, Side, plant_coset,
+                                plant_ghsh, plant_hsp, plant_orbit_coset)
 from cosetlab.perms import parse_cycles
 from cosetlab.reductions import GroupConstraint, StructuredHspInstance
-from cosetlab.search_decision import DecisionAnswer, QueryRecord
+from cosetlab.search_decision import (DecisionAnswer, QueryRecord,
+                                      hsp_search_via_decision)
 
 
 def keys(elems):
@@ -256,3 +257,41 @@ def test_verdict_reflects_transcript_only():
                                else "BUGGY")
     assert verdict.checker_steps == len(verdict.transcript)
     assert verdict.oracle_calls > 0
+
+
+@pytest.fixture
+def every_oracle(monkeypatch):
+    """Every OracleFunction created while the fixture is active."""
+    made = []
+    init = OracleFunction.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(OracleFunction, "__init__", recording_init)
+    return made
+
+
+def test_checker_counters_are_pinned(every_oracle):
+    # Same enumeration, same work: the counts of the sift-and-close chain
+    # and the streamed kernels, recorded before elements were trusted.
+    inst = plant_hsp(symmetric_group(3), (), Side.LEFT)
+    program = BruteForceDecisionOracle()
+    verdict = checker_hspD(program, inst, k=1, seed=0)
+    assert verdict.verdict == "CORRECT"
+    assert program.calls == 1485
+    assert inst.oracle.evaluations == 217
+    assert sum(f.evaluations for f in every_oracle) == 11345
+
+
+def test_search_counters_are_pinned(every_oracle):
+    s4 = symmetric_group(4)
+    gens = (parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)", 4))
+    inst = plant_hsp(s4, gens, Side.LEFT)
+    program = BruteForceDecisionOracle()
+    found = hsp_search_via_decision(inst, program)
+    assert found is not None and not found.is_identity()
+    assert program.calls == 184
+    assert inst.oracle.evaluations == 37
+    assert sum(f.evaluations for f in every_oracle) == 1272

@@ -268,6 +268,8 @@ def test_check_rejects_bad_program_spec(spec):
     (["--cap", "10", "plant", "hsp", "--group", "s5"], None),
     (["solve"], "[1, 2]"),
     (["solve", "--in", "{missing}"], None),
+    (["selftest", "--max-degree", "-1"], None),
+    (["selftest", "--max-degree", "2"], None),
 ])
 def test_invalid_input_exits_2_with_json_error(args, stdin, tmp_path):
     args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
@@ -278,3 +280,25 @@ def test_invalid_input_exits_2_with_json_error(args, stdin, tmp_path):
     json_lines = [l for l in result.output.splitlines() if l.startswith("{")]
     assert json_lines and json.loads(json_lines[0])["error"]
 
+
+
+@pytest.mark.parametrize("plant_args, args", [
+    (["plant", "hsp", "--group", "s3", "--subgroup", "(1 3)", "--side", "right"],
+     ["check"]),
+    (["plant", "hsp", "--group", "z4", "--subgroup", "2"], ["check"]),
+    (["plant", "hsp", "--group", "z4", "--subgroup", "2"], ["search-via-decision"]),
+    (["plant", "coset", "--group", "z4", "--shift", "1"], ["search-via-decision"]),
+    (["plant", "hsp", "--group", "d6", "--subgroup", "r1s"],
+     ["search-via-decision", "--smooth-bound", "1"]),
+    (["plant", "hsp", "--group", "d60", "--subgroup", "r37s"],
+     ["search-via-decision", "--smooth-bound", "3"]),
+    (["plant", "hsp", "--group", "s3"], ["--cap", "5", "solve"]),
+    (["plant", "hsp", "--group", "s3"], ["--cap", "50", "check", "--k", "1"]),
+    (["plant", "ghsh", "--group", "s3", "--shift", "(1 2)", "--copies", "3"],
+     ["--cap", "100", "reduce"]),
+])
+def test_instance_the_command_cannot_take_exits_2(plant_args, args):
+    instance = json.dumps(payload(run(plant_args))["outputs"]["instance"])
+    code, error = _error_exit(args, instance)
+    assert code == 2
+    assert error["error"]

@@ -221,3 +221,90 @@ def test_canonical_order_is_total_per_shape():
     pool = [wz4(a, b, t) for a in range(4) for b in range(4) for t in range(2)]
     keys = sorted(element_key(x) for x in pool)
     assert len(set(keys)) == len(pool)
+
+
+def _shape_pool():
+    """Elements of all five shapes, each built twice: by the algebra (the
+    trusted path) and again through its JSON form (the validating path)."""
+    perms = [Permutation(p) for n in range(1, 5)
+             for p in itertools.permutations(range(1, n + 1))]
+    perms += [Permutation(p) for p in itertools.islice(
+        itertools.permutations(range(1, 6)), 0, 120, 7)]
+    cyclic = [x for m in range(1, 7) for x in cyclic_group(m).elements()]
+    dihedral = [x for n in range(1, 6) for x in dihedral_group(n).elements()]
+    wreath = (wreath_group(symmetric_group(2), 2).elements()
+              + wreath_group(cyclic_group(3), 2).elements()
+              + wreath_group(cyclic_group(2), 3).elements())
+    tuples = product_group([cyclic_group(2), symmetric_group(2)]).elements()
+    shapes = [perms, cyclic, dihedral, wreath, tuples]
+    pool = []
+    for shape, elems in enumerate(shapes):
+        for x in elems:
+            twin = group_op(x, x.identity_like())
+            pool.append((shape, x))
+            pool.append((shape, twin))
+            pool.append((shape, element_from_json(element_to_json(x))))
+    return pool
+
+
+def test_element_equality_matches_element_key():
+    pool = _shape_pool()
+    for shape_x, x in pool:
+        for shape_y, y in pool:
+            equal = x == y
+            assert equal == (element_key(x) == element_key(y)), (x, y)
+            if equal:
+                assert hash(x) == hash(y), (x, y)
+            if shape_x != shape_y:
+                assert not equal, (x, y)
+    # Equal elements built on different paths are distinct objects that
+    # collapse to one dictionary key.
+    assert len({x: None for _, x in pool}) == len({element_key(x) for _, x in pool})
+
+
+def test_public_constructors_reject_bad_input():
+    with pytest.raises(ValueError):
+        Permutation((1, 1, 2))
+    with pytest.raises(ValueError):
+        Permutation(())
+    with pytest.raises(ValueError):
+        Permutation((1.0, 2.0))
+    with pytest.raises(ShapeMismatchError):
+        WreathElement((Permutation((2, 1)), CyclicElement(2, 1)), 0)
+    with pytest.raises(ValueError):
+        CyclicElement(0, 1)
+    with pytest.raises(ValueError):
+        DihedralElement(4, 1, 2)
+    with pytest.raises(ValueError):
+        element_from_json({"kind": "perm", "images": [1, 2, 2]})
+    with pytest.raises(ValueError):
+        Permutation.identity(0)
+
+
+@pytest.mark.parametrize("data", [
+    None,
+    [1, 2],
+    {"kind": "perm"},
+    {"kind": "perm", "images": 5},
+    {"kind": "cyclic", "modulus": 4, "value": 1.5},
+    {"kind": "dihedral", "rotations": "6", "rot": 1, "flip": 0},
+    {"kind": "wreath", "slots": [], "shift": 0},
+    {"kind": "wreath", "slots": [{"kind": "cyclic", "modulus": 2, "value": 1}], "shift": None},
+    {"kind": "tuple", "items": [{"kind": "nope"}]},
+])
+def test_element_from_json_rejects_malformed_input_with_value_error(data):
+    with pytest.raises(ValueError):
+        element_from_json(data)
+
+
+def test_group_from_json_rejects_a_false_identity_and_mixed_shapes():
+    z4 = group_to_json(cyclic_group(4))
+    z4["identity"] = element_to_json(CyclicElement(4, 1))
+    with pytest.raises(ValueError):
+        group_from_json(z4)
+    with pytest.raises(ValueError):
+        group_from_json({"degree": 3, "generators": [[2, 1]]})
+    mixed = group_to_json(cyclic_group(4))
+    mixed["generators"].append(element_to_json(DihedralElement(4, 1, 0)))
+    with pytest.raises(ShapeMismatchError):
+        group_from_json(mixed)

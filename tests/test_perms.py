@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from cosetlab.perms import (Permutation, build_stabilizer_chain, compose,
-                            format_cycles, parse_cycles, point_set,
+from cosetlab.groups import symmetric_group, wreath_embed, wreath_group
+from cosetlab.perms import (Permutation, StabilizerChain, build_stabilizer_chain,
+                            compose, format_cycles, parse_cycles, point_set,
                             random_element, setwise_stabilizer_generators)
 
 
@@ -215,3 +216,64 @@ def test_subgroup_generators_generate_stabilizers():
                   if all(p[x - 1] == x for x in range(1, k + 1))}
         assert closure == direct
         assert len(list(chain.elements(k))) == len(direct)
+
+
+def reference_build_stabilizer_chain(gens, n):
+    """Literal copy of the sift-and-close builder before it stored inverses:
+    it sifts with ``rep.inverse()`` recomputed at every step."""
+    gens = list(gens)
+    for g in gens:
+        if g.degree != n:
+            raise ValueError(f"generator degree {g.degree} does not match {n}")
+    transversals = [{i: Permutation.identity(n)} for i in range(1, n + 1)]
+
+    def insert(p):
+        for lvl in range(n):
+            if p.is_identity():
+                return False
+            b = p.apply(lvl + 1)
+            rep = transversals[lvl].get(b)
+            if rep is None:
+                transversals[lvl][b] = p
+                return True
+            p = compose(p, rep.inverse())
+        return False
+
+    for g in gens:
+        insert(g)
+    while True:
+        reps = [rep for tv in transversals for rep in tv.values()
+                if not rep.is_identity()]
+        reps.extend(g for g in gens if not g.is_identity())
+        changed = False
+        for a in reps:
+            for b in reps:
+                if insert(compose(a, b)):
+                    changed = True
+        if not changed:
+            break
+    return StabilizerChain(n, tuple(transversals))
+
+
+def _chain_cases():
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for _ in range(4):
+            yield [random_perm(n, rng) for _ in range(rng.randint(0, 3))], n
+    for k in (3, 4):
+        wreath = wreath_group(symmetric_group(k), 2)
+        yield [wreath_embed(w) for w in wreath.generators], 2 * k
+
+
+def test_chain_matches_reference_builder():
+    for gens, n in _chain_cases():
+        chain = build_stabilizer_chain(gens, n)
+        ref = reference_build_stabilizer_chain(gens, n)
+        # Same representatives, inserted in the same order.
+        assert ([list(tv.items()) for tv in chain.transversals]
+                == [list(tv.items()) for tv in ref.transversals])
+        for k in range(n + 1):
+            assert list(chain.elements(k)) == list(ref.elements(k))
+        rng_a, rng_b = random.Random(n), random.Random(n)
+        assert ([random_element(chain, rng_a) for _ in range(25)]
+                == [random_element(ref, rng_b) for _ in range(25)])

@@ -16,19 +16,20 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .groups import (DEFAULT_CAP, GroupElement, WreathElement, close_under_op,
-                     element_key, group_op, invert, reduce_generators,
-                     wreath_unembed)
+from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, WreathElement,
+                     close_under_op, element_key, group_op, invert,
+                     reduce_generators, wreath_group, wreath_unembed)
 from .instances import (GhshInstance, HiddenCosetInstance, HspInstance,
                         OracleFunction, OrbitCosetInstance, Side)
-from .perms import Permutation, build_stabilizer_chain, random_element
+from .perms import (Permutation, StabilizerChain, build_stabilizer_chain,
+                    random_element)
 from .reductions import (InvalidKGeneratorsError, StructuredHspInstance,
-                         embed_wreath_instance, hidden_coset_to_hsp,
+                         embed_wreath_group, embed_wreath_oracle, paired_oracle,
                          recover_coset_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle, DihedralSubgroupQuery,
                               OracleInconsistentError, QueryRecord, ShiftQuery,
-                              build_hsp_search_plan, event_stamp,
-                              finish_hsp_search, hsp_search_via_decision)
+                              build_plan_skeleton, event_stamp, finish_hsp_search,
+                              hsp_search_via_decision, instantiate_plan)
 
 
 def trial_rng(master_seed: int, index: int) -> random.Random:
@@ -251,16 +252,18 @@ def _verdict(transcript: Sequence[TrialRecord], oracle_calls: int,
                           first_trial_call_stamp=first_trial_call)
 
 
-def _translated_instance(inst: HspInstance, rng: random.Random,
-                         chain) -> tuple[GroupElement, HspInstance]:
-    """One self-trial: translate f by a random u, pair the functions, flatten."""
+def _translated_instance(inst: HspInstance, rng: random.Random, chain: StabilizerChain,
+                         flat_group: FiniteGroup) -> tuple[GroupElement, HspInstance]:
+    """One self-trial: translate f by a random u, pair the functions, and
+    flatten the pair onto ``flat_group``, the trials' shared flattened
+    G wr Z_2."""
     u = random_element(chain, rng)
     u_inv = invert(u)
     f = inst.oracle
     f2 = OracleFunction(lambda g: f.evaluate(group_op(g, u_inv)),
                         description="translated labels")
-    paired = hidden_coset_to_hsp(HiddenCosetInstance(inst.group, f, f2))
-    return u, embed_wreath_instance(paired)
+    paired = paired_oracle(f.evaluate, f2.evaluate, "paired coset functions")
+    return u, HspInstance(flat_group, embed_wreath_oracle(paired, chain.degree), Side.LEFT)
 
 
 def _require_left_permutation_instance(inst: HspInstance) -> int:
@@ -272,19 +275,26 @@ def _require_left_permutation_instance(inst: HspInstance) -> int:
     return identity.degree
 
 
-def _translate_trials(program: DecisionOracle, inst: HspInstance, k: int, seed: int,
-                      prepare: Callable, judge: Callable[..., TrialRecord],
-                      transcript: list[TrialRecord], calls_before: int) -> CheckerVerdict:
-    """Run k translate trials nonadaptively and close the verdict.
+def _translate_trials(inst: HspInstance, k: int, seed: int,
+                      cap: int) -> tuple[FiniteGroup, list[tuple]]:
+    """The flattened G wr Z_2 and k ``(t, u, flat instance)`` trials over it.
 
-    Every trial instance is built and passed through ``prepare`` before the
-    program sees any of them; then ``judge(t, u, prepared)`` runs trial t.
+    G's chain (which drives the u draws) and the flattened group are built
+    once; each trial builds only its translated, paired and flattened oracle.
     """
-    chain = build_stabilizer_chain(inst.group.generators, inst.group.identity.degree)
-    trials = []
-    for t in range(k):
-        u, flat = _translated_instance(inst, trial_rng(seed, t), chain)
-        trials.append((t, u, prepare(flat)))
+    n = inst.group.identity.degree
+    chain = build_stabilizer_chain(inst.group.generators, n)
+    flat_group = embed_wreath_group(wreath_group(inst.group, 2, cap), cap)
+    trials = [(t, *_translated_instance(inst, trial_rng(seed, t), chain, flat_group))
+              for t in range(k)]
+    return flat_group, trials
+
+
+def _judge_trials(program: DecisionOracle, trials: list[tuple],
+                  judge: Callable[..., TrialRecord], transcript: list[TrialRecord],
+                  calls_before: int) -> CheckerVerdict:
+    """Run ``judge(t, u, prepared)`` on every trial, all of them built before
+    the first program call, and close the verdict."""
     construction_done = event_stamp()
     first_call_index = program.calls
     transcript.extend(judge(*trial) for trial in trials)
@@ -344,9 +354,10 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
                                f"recovered {got}, expected the planted swap")
         return TrialRecord(t, "translate trial", True)
 
-    return _translate_trials(program, inst, k, seed,
-                             lambda flat: build_hsp_search_plan(flat, cap), judge,
-                             transcript, calls_before)
+    flat_group, trials = _translate_trials(inst, k, seed, cap)
+    skeleton = build_plan_skeleton(flat_group, cap)
+    plans = [(t, u, instantiate_plan(skeleton, flat)) for t, u, flat in trials]
+    return _judge_trials(program, plans, judge, transcript, calls_before)
 
 
 def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
@@ -398,5 +409,5 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
                                "recovered shift lies outside the claimed coset")
         return TrialRecord(t, "translate trial", True)
 
-    return _translate_trials(program, inst, k, seed, lambda flat: flat, judge,
-                             transcript, calls_before)
+    _, trials = _translate_trials(inst, k, seed, cap)
+    return _judge_trials(program, trials, judge, transcript, calls_before)

@@ -32,7 +32,7 @@ from .reductions import instance_from_json_any, reduced_instance_to_json
 from .search_decision import (NoShiftError, OracleInconsistentError,
                               dihedral_search_via_decision, hsh_search_via_decision,
                               hsp_search_via_decision, smooth_factorize)
-from .selftest import SUITES, run_suites
+from .selftest import MAX_DEGREE, MIN_DEGREE, SUITES, run_suites
 
 
 class InputError(click.ClickException):
@@ -43,6 +43,40 @@ class InputError(click.ClickException):
     def show(self, file=None):
         print(json.dumps({"error": self.format_message()}))
         super().show(file)
+
+
+class UsageInputError(click.UsageError):
+    """A malformed command line: exit 2, the JSON error object on stdout, then
+    click's usage text on stderr."""
+
+    def show(self, file=None):
+        print(json.dumps({"error": self.format_message()}))
+        super().show(file)
+
+
+class _JsonUsageGroup(click.Group):
+    """The top-level group.  Click raises a usage error (a bad option value or
+    choice, a missing or unknown option or command) while it parses the
+    group's arguments or a subcommand's, which happens inside these two
+    calls; each such error is reported as a :class:`UsageInputError`."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors():
+            return super().invoke(ctx)
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    try:
+        yield
+    except (UsageInputError, click.exceptions.NoArgsIsHelpError):
+        raise  # already reported, or a bare command asking for its help text
+    except click.UsageError as exc:
+        raise UsageInputError(exc.format_message(), exc.ctx) from exc
 
 
 @contextlib.contextmanager
@@ -241,7 +275,7 @@ def _verified(inst, cap):
     return inst
 
 
-@click.group()
+@click.group(cls=_JsonUsageGroup)
 @click.option("--seed", type=int, default=0, help="64-bit seed for all randomness.")
 @click.option("--cap", type=int, default=100_000, help="Enumeration cap.")
 @click.pass_context
@@ -520,8 +554,11 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
 def selftest_cmd(ctx, suites, max_degree):
     """Run the built-in property sweeps and report pass counts."""
     started = time.monotonic()
-    if max_degree < 3:
-        raise InputError(f"--max-degree must be at least 3, got {max_degree}")
+    if max_degree < MIN_DEGREE:
+        raise InputError(f"--max-degree must be at least {MIN_DEGREE}, got {max_degree}")
+    if max_degree > MAX_DEGREE:
+        raise InputError(f"--max-degree must be at most {MAX_DEGREE}, the largest degree "
+                         f"the suites run; got {max_degree}")
     names = sorted(SUITES) if "all" in suites else list(suites)
     results = run_suites(names, max_degree=max_degree, seed=ctx.obj["seed"])
     outputs = {"suites": [

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Union
 
-from .perms import ExceedsCapError, Permutation, compose
+from .perms import ExceedsCapError, Permutation, _perm, compose
 
 _new = object.__new__
 _set = object.__setattr__
@@ -408,9 +408,6 @@ class FiniteGroup:
             self._members = frozenset(self.elements(cap))
         return x in self._members
 
-    def sorted_elements(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
-        return sorted(self.elements(cap), key=element_key)
-
     def __repr__(self):
         label = self.name or f"{len(self.generators)} generators"
         return f"FiniteGroup({label})"
@@ -581,11 +578,6 @@ def group_from_json(data) -> FiniteGroup:
 
 # -- the doubled-point action of two-slot wreath elements ------------------------
 
-def gamma_index(row: int, col: int, n: int) -> int:
-    """Flatten the point (row, col) with col in {1, 2} to a point of 1..2n."""
-    return row + (col - 1) * n
-
-
 def gamma_point_image(w: WreathElement, row: int, col: int) -> tuple[int, int]:
     """Image of the point (row, col), col in {1, 2}, under a two-slot wreath element."""
     target = (col - 1 + w.shift) % 2
@@ -598,7 +590,9 @@ def wreath_embed(w: WreathElement) -> Permutation:
 
     The map is a group homomorphism for the slot-permuting multiplication and
     left-to-right composition; column c of the doubled point set is sent to
-    column c + shift and acted on by the slot with that destination index.
+    column c + shift and acted on by the slot with that destination index
+    (:func:`gamma_point_image`).  Two slot permutations of one degree give a
+    bijection, so the result is built without re-checking.
     """
     if len(w.slots) != 2:
         raise ValueError("embedding is defined for two-slot wreath elements")
@@ -607,30 +601,25 @@ def wreath_embed(w: WreathElement) -> Permutation:
     n = w.slots[0].degree
     if w.slots[1].degree != n:
         raise ShapeMismatchError("slot degrees differ")
-    images = [0] * (2 * n)
-    for col in (1, 2):
-        for row in range(1, n + 1):
-            img_row, img_col = gamma_point_image(w, row, col)
-            images[gamma_index(row, col, n) - 1] = gamma_index(img_row, img_col, n)
-    return Permutation(tuple(images))
+    t = w.shift
+    first = w.slots[t].images            # column 1 lands in column 1 + t
+    second = w.slots[1 - t].images       # column 2 lands in column 2 - t
+    return _perm(tuple([x + t * n for x in first] + [x + (1 - t) * n for x in second]))
 
 
 def wreath_unembed(p: Permutation, n: int) -> WreathElement:
     """Two-sided inverse of :func:`wreath_embed` on its image.
 
     Raises ValueError when ``p`` does not respect the two-column structure.
+    A permutation sending each column wholly into one column sends it onto
+    that column, so the slot tuples read off it are bijections.
     """
     if p.degree != 2 * n:
         raise ValueError(f"expected degree {2 * n}, got {p.degree}")
-    shift = 0 if p.apply(1) <= n else 1
-    slot_images: list[list[int]] = [[0] * n, [0] * n]
-    for col in (1, 2):
-        target = (col - 1 + shift) % 2
-        for row in range(1, n + 1):
-            img = p.apply(gamma_index(row, col, n))
-            img_col = 1 if img <= n else 2
-            if img_col != target + 1:
-                raise ValueError("permutation does not preserve the column structure")
-            slot_images[target][row - 1] = img - (img_col - 1) * n
-    return WreathElement((Permutation(tuple(slot_images[0])),
-                          Permutation(tuple(slot_images[1]))), shift)
+    images = p.images
+    shift = 0 if images[0] <= n else 1
+    # Slot 0 acts on the column that lands in column 1, slot 1 on the other.
+    stay, move = (images[:n], images[n:]) if shift == 0 else (images[n:], images[:n])
+    if max(stay) > n or min(move) <= n:
+        raise ValueError("permutation does not preserve the column structure")
+    return _wreath((_perm(stay), _perm(tuple([x - n for x in move]))), shift)

@@ -334,23 +334,34 @@ class StructuredHspInstance:
 # -- flattening wreath instances to permutation instances ---------------------------
 
 
+def embed_wreath_group(group: FiniteGroup, cap: int = DEFAULT_CAP) -> FiniteGroup:
+    """The permutation group on the doubled points isomorphic to a two-slot
+    wreath product of permutations; it streams the wreath elements embedded."""
+    identity = group.identity
+    if not isinstance(identity, WreathElement) or identity.copies != 2:
+        raise TypeError("expected a two-slot wreath product of permutations")
+    rows = identity.slots[0].degree
+    return FiniteGroup(
+        [wreath_embed(w) for w in group.generators], Permutation.identity(2 * rows),
+        name=f"{group.name or 'wreath'} on {2 * rows} points",
+        elements_hint=lambda: map(wreath_embed, group.iter_elements(cap)),
+        known_order=group.known_order)
+
+
+def embed_wreath_oracle(oracle: OracleFunction, rows: int) -> OracleFunction:
+    """An oracle over the wreath product, read on the doubled points of
+    ``rows`` rows: each flat permutation is unembedded, then evaluated."""
+    return OracleFunction(lambda p: oracle.evaluate(wreath_unembed(p, rows)),
+                          description=f"flattened {oracle.description}")
+
+
 def embed_wreath_instance(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspInstance:
     """Transport an instance over a two-slot wreath of permutations to the
-    isomorphic permutation group on the doubled points."""
-    identity = inst.group.identity
-    if not isinstance(identity, WreathElement) or identity.copies != 2:
-        raise TypeError("expected an instance over a two-slot wreath product")
-    rows = identity.slots[0].degree
-    gens = [wreath_embed(w) for w in inst.group.generators]
-    flat_group = FiniteGroup(
-        gens, Permutation.identity(2 * rows),
-        name=f"{inst.group.name or 'wreath'} on {2 * rows} points",
-        elements_hint=lambda: (wreath_embed(w) for w in inst.group.iter_elements(cap)),
-        known_order=inst.group.known_order)
-    wrapped = inst.oracle
-    oracle = OracleFunction(lambda p: wrapped.evaluate(wreath_unembed(p, rows)),
-                            description=f"flattened {wrapped.description}")
+    isomorphic permutation group on the doubled points: the flattened group
+    joined with the flattened oracle."""
+    group = embed_wreath_group(inst.group, cap)
     planted = None
     if inst.planted_subgroup is not None:
         planted = tuple(wreath_embed(w) for w in inst.planted_subgroup)
-    return HspInstance(flat_group, oracle, inst.side, planted_subgroup=planted)
+    return HspInstance(group, embed_wreath_oracle(inst.oracle, group.identity.degree // 2),
+                       inst.side, planted_subgroup=planted)

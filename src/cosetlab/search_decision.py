@@ -139,23 +139,57 @@ class HspSearchPlan:
     batch: QueryBatch
 
 
-def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearchPlan:
-    """Construct the full truth-table query family for a permutation instance.
+@dataclass(frozen=True)
+class PlanSkeleton:
+    """The part of a truth-table plan that depends on the group alone.
 
-    For each level i the base is the paired oracle over (pointwise stabilizer
-    of 1..i-1) wreath the slot swap, constrained by three doubled-point
-    setwise stabilizers indexed by (i, j), (i, j'), (k, l).  The queries
-    sharing (i, j, j') nest on one prefix instance holding the first two
-    constraints, so its filtered kernel is computed once for all (k, l).
+    ``levels[i-1]`` is ``(wreath, prefixes)``: the pointwise stabilizer of
+    1..i-1 wreath the slot swap, and one ``(pair, queries)`` entry per
+    (i, j, j') in query order, where ``pair`` holds the (i, j) and (i, j')
+    doubled-point stabilizers and ``queries`` the index tuple and (k, l)
+    stabilizer of each query.  Stabilizers with equal pair sets are one
+    object.  :func:`instantiate_plan` joins a skeleton with an instance.
     """
-    identity = inst.group.identity
+
+    group: FiniteGroup
+    chain: StabilizerChain
+    levels: tuple
+
+
+def build_plan_skeleton(group: FiniteGroup, cap: int = DEFAULT_CAP) -> PlanSkeleton:
+    """Chain, level groups and constrained index tuples of a permutation group."""
+    identity = group.identity
     if not isinstance(identity, Permutation):
         raise TypeError("search-to-decision runs over permutation groups")
     n = identity.degree
-    for g in inst.group.generators:
+    for g in group.generators:
         if not isinstance(g, Permutation) or g.degree != n:
             raise TypeError("search-to-decision runs over permutation groups")
-    chain = build_stabilizer_chain(inst.group.generators, n)
+    chain = build_stabilizer_chain(group.generators, n)
+    # Every constraint stabilizes some {(a, 1), (b, 2)}: n^2 pair sets in all.
+    stabilizer = {(a, b): GammaSetStabilizer(n, frozenset({(a, 1), (b, 2)}))
+                  for a in range(1, n + 1) for b in range(1, n + 1)}
+    levels = []
+    for i in range(1, n + 1):
+        wreath = wreath_group(_chain_level_group(chain, i - 1), 2, cap)
+        lasts = [(k, ell) for k in range(i, n + 1) for ell in range(i, n + 1)]
+        prefixes = tuple(
+            ((stabilizer[i, j], stabilizer[j2, i]),
+             tuple([((i, j, j2, k, ell), stabilizer[k, ell]) for k, ell in lasts]))
+            for j in range(i + 1, n + 1) for j2 in range(i + 1, n + 1))
+        levels.append((wreath, prefixes))
+    return PlanSkeleton(group, chain, tuple(levels))
+
+
+def instantiate_plan(skeleton: PlanSkeleton, inst: HspInstance) -> HspSearchPlan:
+    """The query records of one instance over the skeleton's group.
+
+    Each level's base is the paired oracle over the level's wreath product,
+    and each query nests on the prefix instance of its (i, j, j'), so the
+    prefix's filtered kernel is computed once for all its (k, l).
+    """
+    if inst.group is not skeleton.group:
+        raise ValueError("the instance is not over the skeleton's group")
     batch = QueryBatch()
     label_memo: dict = {}
 
@@ -170,21 +204,24 @@ def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearc
         return hit[1]
 
     paired = paired_oracle(slot_label, slot_label, f"paired {inst.oracle.description}")
-    for i in range(1, n + 1):
-        level_group = _chain_level_group(chain, i - 1)
-        base = HspInstance(wreath_group(level_group, 2, cap), paired, Side.LEFT)
-        for j in range(i + 1, n + 1):
-            for j2 in range(i + 1, n + 1):
-                prefix = StructuredHspInstance(base, (
-                    GammaSetStabilizer(n, frozenset({(i, 1), (j, 2)})),
-                    GammaSetStabilizer(n, frozenset({(i, 2), (j2, 1)})),
-                ))
-                for k in range(i, n + 1):
-                    for ell in range(i, n + 1):
-                        last = GammaSetStabilizer(n, frozenset({(k, 1), (ell, 2)}))
-                        batch.add((i, j, j2, k, ell),
-                                  StructuredHspInstance(prefix, (last,)))
-    return HspSearchPlan(inst, chain, batch)
+    for wreath, prefixes in skeleton.levels:
+        base = HspInstance(wreath, paired, Side.LEFT)
+        for pair, queries in prefixes:
+            prefix = StructuredHspInstance(base, pair)
+            for index, last in queries:
+                batch.add(index, StructuredHspInstance(prefix, (last,)))
+    return HspSearchPlan(inst, skeleton.chain, batch)
+
+
+def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearchPlan:
+    """Construct the full truth-table query family for a permutation instance.
+
+    For each level i the base is the paired oracle over (pointwise stabilizer
+    of 1..i-1) wreath the slot swap, constrained by three doubled-point
+    setwise stabilizers indexed by (i, j), (i, j'), (k, l).  The group's
+    skeleton is built first, then joined with the instance.
+    """
+    return instantiate_plan(build_plan_skeleton(inst.group, cap), inst)
 
 
 def reconstruct_from_answers(n: int, answers: dict) -> Permutation | None:

@@ -59,6 +59,11 @@ def _subgroups(group: FiniteGroup, pair_limit: int | None = None) -> list[tuple]
     return out
 
 
+# The degrees a suite can run: the chain check clamps to this range and the
+# search suite stops at 4, so a larger --max-degree would change nothing.
+MIN_DEGREE, MAX_DEGREE = 3, 6
+
+
 def run_algebra_suite(max_degree: int, seed: int) -> list[PropertyResult]:
     rng = random.Random(seed)
     results = []
@@ -83,7 +88,7 @@ def run_algebra_suite(max_degree: int, seed: int) -> list[PropertyResult]:
     results.append(PropertyResult("doubled-point-embedding-homomorphism", cases, failures))
 
     cases = failures = 0
-    n = max(3, min(max_degree, 6))
+    n = max(MIN_DEGREE, min(max_degree, MAX_DEGREE))
     for _ in range(12):
         gens = [_random_perm(n, rng) for _ in range(2)]
         chain = build_stabilizer_chain(gens, n)

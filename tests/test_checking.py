@@ -295,3 +295,55 @@ def test_search_counters_are_pinned(every_oracle):
     assert program.calls == 184
     assert inst.oracle.evaluations == 37
     assert sum(f.evaluations for f in every_oracle) == 1272
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """Calls of build_stabilizer_chain, counted where each module looks it up."""
+    from cosetlab import checking, search_decision
+    calls = []
+    for module in (checking, search_decision):
+        def counting(*args, _build=module.build_stabilizer_chain, **kwargs):
+            calls.append(args)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(module, "build_stabilizer_chain", counting)
+    return calls
+
+
+def test_translate_trials_build_each_chain_once(chain_builds):
+    # One chain of G drives the u draws; the decision checker's k plans share
+    # one skeleton over one flattened G wr Z2 (eight chains before).  The
+    # search checker's trials need no plan, so G's chain is its only one.
+    inst = plant_hsp(symmetric_group(3), (parse_cycles("(1 2)", 3),), Side.LEFT)
+    program = wrap_buggy(BruteForceDecisionOracle(), BugSpec("always_trivial"))
+    assert checker_hspD(program, inst, k=7, seed=0).verdict == "BUGGY"
+    assert [args[1] for args in chain_builds] == [3, 6]
+    chain_builds.clear()
+    assert checker_hsp(BruteSearchProgram(), inst, k=7, seed=0).verdict == "CORRECT"
+    assert [args[1] for args in chain_builds] == [3]
+
+
+def test_flip_transcripts_are_pinned():
+    # Per-trial results and call counts of earlier releases, which built every
+    # trial's group, chain and plan afresh.
+    inst = plant_hsp(symmetric_group(3), (parse_cycles("(1 2)", 3),), Side.LEFT)
+    spec = BugSpec("flip_with_prob", flip_probability=0.3, seed=4)
+    verdict = checker_hspD(wrap_buggy(BruteForceDecisionOracle(), spec), inst, k=7, seed=4)
+    assert verdict.oracle_calls == 10389
+    assert [(t.ok, t.detail) for t in verdict.transcript] == [
+        (False, "level 4 point 4: 0 accepted images"),
+        (False, "level 5 point 6: 2 accepted images"),
+        (False, "level 5 point 5: 0 accepted images"),
+        (False, "assembled element does not share the identity label"),
+        (False, "level 5 point 6: 0 accepted images"),
+        (False, "level 5 point 5: 2 accepted images"),
+        (False, "level 4 point 6: 0 accepted images")]
+    spec = BugSpec("flip_with_prob", flip_probability=0.3, seed=4)
+    verdict = checker_hsp(wrap_buggy(BruteSearchProgram(), spec), inst, k=7, seed=4)
+    no_swap = ("no slot-swapping generator; any generating set of the hidden subgroup "
+               "of a paired-coset instance must contain one")
+    differs = "recovered subgroup differs from the claimed one"
+    assert verdict.oracle_calls == 8
+    assert [(t.ok, t.detail) for t in verdict.transcript] == [
+        (True, ""), (False, no_swap), (False, differs), (False, no_swap), (False, no_swap),
+        (False, differs), (False, differs), (False, differs)]

@@ -178,3 +178,40 @@ def test_cli_boundary_fuzz(tmp_path):
         codes[result.exit_code] += 1
     # The mutations must leave some inputs valid and reject others.
     assert codes[0] > 0 and codes[2] > 0, codes
+
+
+# Ill-typed values for every typed option, each placed in an otherwise valid
+# command line.  Click rejects them while it parses, before any command runs,
+# and the rejection must be the same exit 2 with a JSON error.
+ILL_TYPED = {
+    "--seed": (["--seed", "{}", "plant", "hsp", "--group", "s3"], ("x", "1.5", "0x1", "")),
+    "--cap": (["--cap", "{}", "plant", "hsp", "--group", "s3"], ("x", "1e3", "")),
+    "--side": (["plant", "hsp", "--group", "s3", "--side", "{}"], ("up", "LEFT", "")),
+    "--copies": (["plant", "ghsh", "--group", "s3", "--shift", "(1 2)", "--copies", "{}"],
+                 ("x", "2.0")),
+    "--phi1": (["plant", "orbit-coset", "--action", "cyclic:4", "--phi1", "{}"],
+               ("x", "1.5")),
+    "--smooth-bound": (["search-via-decision", "--in", "{in}", "--smooth-bound", "{}"],
+                       ("x", "7.5")),
+    "--flavor": (["check", "--in", "{in}", "--flavor", "{}"], ("both", "Decision", "")),
+    "--k": (["check", "--in", "{in}", "--k", "{}"], ("x", "1.5", "seven", "")),
+    "--runs": (["check", "--in", "{in}", "--runs", "{}"], ("x", "2.0", "")),
+    "--suite": (["selftest", "--suite", "{}"], ("nope", "ALL", "")),
+    "--max-degree": (["selftest", "--max-degree", "{}"], ("x", "4.0")),
+}
+
+
+def test_ill_typed_option_values_exit_2_with_json_error(tmp_path):
+    runner = CliRunner()
+    planted = runner.invoke(main, PLANTS["s3-hsp"])
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(json.loads(planted.output)["outputs"]["instance"]))
+    for option, (template, values) in ILL_TYPED.items():
+        for value in values:
+            args = [a.replace("{in}", str(path)).replace("{}", value) for a in template]
+            result = runner.invoke(main, args)
+            context = f"{args}\n{result.output}"
+            assert result.exit_code == 2, context
+            assert isinstance(result.exception, SystemExit), context
+            errors = [line for line in result.output.splitlines() if line.startswith("{")]
+            assert errors and option in json.loads(errors[0])["error"], context

@@ -7,13 +7,15 @@ from cosetlab.checking import (BruteForceDecisionOracle, BruteForceDihedralOracl
                                brute_decide, wrap_buggy)
 from cosetlab.groups import (DihedralElement, close_under_op, cyclic_group,
                              dihedral_group, element_key, group_op, invert,
-                             symmetric_group)
+                             symmetric_group, wreath_group)
 from cosetlab.instances import Side, plant_coset, plant_hsp
 from cosetlab.perms import build_stabilizer_chain, parse_cycles
-from cosetlab.reductions import GammaSetStabilizer, StructuredHspInstance
+from cosetlab.reductions import (GammaSetStabilizer, StructuredHspInstance,
+                                 embed_wreath_group)
 from cosetlab.search_decision import (DecisionAnswer, NoShiftError, NotSmoothError,
                                       OracleInconsistentError, SmoothFactorization,
-                                      build_hsp_search_plan, crt_combine,
+                                      build_hsp_search_plan, build_plan_skeleton,
+                                      crt_combine, instantiate_plan,
                                       dihedral_search_via_decision,
                                       finish_hsp_search, hsh_search_via_decision,
                                       hsp_search_via_decision,
@@ -131,7 +133,8 @@ def test_nested_plan_queries_match_flat_constraints():
     s3 = symmetric_group(3)
     chain = build_stabilizer_chain(s3.generators, 3)
     instances.append(_translated_instance(plant_hsp(s3, (), Side.LEFT),
-                                          random.Random(5), chain)[1])
+                                          random.Random(5), chain,
+                                          embed_wreath_group(wreath_group(s3, 2)))[1])
     seen = set()
     for inst in instances:
         plan = build_hsp_search_plan(inst)
@@ -147,6 +150,78 @@ def test_nested_plan_queries_match_flat_constraints():
             assert answer is brute_decide(flat), record.index
             seen.add(answer)
     assert seen == set(DecisionAnswer)
+
+
+def _reference_queries(n):
+    """The plan's queries written out from the definition: index tuple, the
+    two prefix pair sets, the last pair set, in query order."""
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for j2 in range(i + 1, n + 1):
+                for k in range(i, n + 1):
+                    for ell in range(i, n + 1):
+                        yield ((i, j, j2, k, ell),
+                               ({(i, 1), (j, 2)}, {(i, 2), (j2, 1)}), {(k, 1), (ell, 2)})
+
+
+def _plan_queries(plan):
+    return [(r.index, tuple(set(c.pairs) for c in r.instance.base.constraints),
+             set(r.instance.constraints[0].pairs)) for r in plan.batch.records]
+
+
+def _trial_instances(group, seeds):
+    """Seeded flattened translate-trial instances of the trivial instance,
+    sharing one flattened group as the checkers' trials do."""
+    n = group.identity.degree
+    chain = build_stabilizer_chain(group.generators, n)
+    flat_group = embed_wreath_group(wreath_group(group, 2))
+    trivial = plant_hsp(group, (), Side.LEFT)
+    return flat_group, [_translated_instance(trivial, random.Random(seed), chain,
+                                             flat_group)[1] for seed in seeds]
+
+
+def test_shared_skeleton_plans_match_fresh_plans():
+    """One skeleton per group serves every instance over it: the same queries
+    in the same order as the definition and as a fresh plan, and on S3 the
+    same answers, so no instance's kernel leaks into another's plan."""
+    families = []
+    for group in (symmetric_group(3), symmetric_group(4)):
+        families.append((group, [plant_hsp(group, gens, Side.LEFT)
+                                 for gens in subgroups_of(group)], group.order() == 6))
+    families.append((*_trial_instances(symmetric_group(3), (0, 1, 2)), True))
+    for group, insts, decide in families:
+        skeleton = build_plan_skeleton(group)
+        expected = list(_reference_queries(group.identity.degree))
+        for inst in insts:
+            shared = instantiate_plan(skeleton, inst)
+            fresh = build_hsp_search_plan(inst)
+            assert _plan_queries(shared) == expected
+            assert _plan_queries(fresh) == expected
+            if decide:
+                assert ([brute_decide(r.instance) for r in shared.batch.records]
+                        == [brute_decide(r.instance) for r in fresh.batch.records])
+                assert (finish_hsp_search(shared, shared.batch.run(BruteForceDecisionOracle()))
+                        == hsp_search_via_decision(inst, BruteForceDecisionOracle()))
+
+
+def test_skeleton_rejects_an_instance_over_another_group():
+    s3 = symmetric_group(3)
+    skeleton = build_plan_skeleton(s3)
+    with pytest.raises(ValueError):
+        instantiate_plan(skeleton, plant_hsp(symmetric_group(3), (), Side.LEFT))
+
+
+def test_plan_holds_one_stabilizer_per_pair_set():
+    flat_group, (flat,) = _trial_instances(symmetric_group(3), (7,))
+    for inst in (plant_hsp(symmetric_group(4), (), Side.LEFT), flat):
+        plan = build_hsp_search_plan(inst)
+        n = plan.chain.degree
+        objects = {}
+        for r in plan.batch.records:
+            for c in (*r.instance.base.constraints, *r.instance.constraints):
+                objects.setdefault(c.pairs, set()).add(id(c))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert len(objects) == n * n
 
 
 def test_search_rejects_inconsistent_oracle():

@@ -8,25 +8,24 @@ checkers.
 
 from .perms import (ExceedsCapError, Permutation, StabilizerChain,
                     build_stabilizer_chain, compose, format_cycles, parse_cycles,
-                    point_set, random_element, setwise_stabilizer_generators)
+                    random_element)
 from .groups import (CyclicElement, DihedralElement, FiniteGroup, GroupElement,
                      ShapeMismatchError, TupleElement, WreathElement,
                      cyclic_group, dihedral_group, element_from_json, element_key,
                      element_pow, element_to_json, enumerate_group, group_from_json,
-                     group_op, group_to_json, identity_like, invert, product_group,
-                     reduce_generators, symmetric_group, wreath_embed, wreath_group,
-                     wreath_unembed)
+                     group_op, group_to_json, identity_like, invert, reduce_generators,
+                     symmetric_group, wreath_embed, wreath_group, wreath_unembed)
 from .instances import (GhshInstance, GroupAction, HiddenCosetInstance, HspInstance,
                         NoDisjointOrbitError, OracleFunction, OrbitCosetInstance,
                         PromiseViolationError, Side, instance_from_json,
                         instance_to_json, plant_coset, plant_ghsh,
                         plant_hidden_shift, plant_hsp, plant_orbit_coset,
                         verify_promise)
-from .reductions import (Constraint, GammaSetStabilizer, GroupConstraint,
-                         InvalidKGeneratorsError, StructuredHspInstance,
-                         embed_wreath_instance, ghsh_to_hsp, hidden_coset_to_hsp,
-                         orbit_coset_to_hsp, paired_oracle, recover_coset_solution,
-                         recover_ghsh_functions, recover_orbit_solution)
+from .reductions import (Constraint, GammaSetStabilizer, InvalidKGeneratorsError,
+                         StructuredHspInstance, embed_wreath_instance, ghsh_to_hsp,
+                         hidden_coset_to_hsp, orbit_coset_to_hsp, paired_oracle,
+                         recover_coset_solution, recover_ghsh_functions,
+                         recover_orbit_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle,
                               DihedralDecisionOracle, DihedralSubgroupQuery,
                               NoShiftError, NotSmoothError, OracleInconsistentError,

@@ -80,10 +80,11 @@ def brute_orbit_solve(inst: OrbitCosetInstance, cap: int = DEFAULT_CAP
 def brute_decide(structured: StructuredHspInstance,
                  cap: int = DEFAULT_CAP) -> DecisionAnswer:
     """Nontrivial iff some non-identity element shares the identity label and
-    lies in every constraint group.  A structured base supplies its kernel
+    lies in every constraint group: the base kernel filtered through the
+    instance's bound conjunction.  A structured base supplies its kernel
     already filtered through its own constraints."""
-    for g in structured.base.kernel(cap):
-        if all(c.contains(g) for c in structured.constraints) and not g.is_identity():
+    for g in filter(structured.accepts, structured.base.kernel(cap)):
+        if not g.is_identity():
             return DecisionAnswer.NONTRIVIAL
     return DecisionAnswer.TRIVIAL
 

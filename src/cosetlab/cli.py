@@ -54,11 +54,22 @@ class UsageInputError(click.UsageError):
         super().show(file)
 
 
+class MissingCommandError(click.exceptions.NoArgsIsHelpError):
+    """A group called without a subcommand: exit 2, the JSON error object on
+    stdout, then the group's help text on stderr."""
+
+    def show(self, file=None):
+        print(json.dumps({"error": f"{self.ctx.command_path}: missing command"}))
+        super().show(file)
+
+
 class _JsonUsageGroup(click.Group):
     """The top-level group.  Click raises a usage error (a bad option value or
     choice, a missing or unknown option or command) while it parses the
     group's arguments or a subcommand's, which happens inside these two
-    calls; each such error is reported as a :class:`UsageInputError`."""
+    calls; each such error is reported as a :class:`UsageInputError`, and a
+    bare group (``cosetlab``, ``cosetlab plant``) as a
+    :class:`MissingCommandError`."""
 
     def make_context(self, *args, **kwargs):
         with _usage_errors():
@@ -73,8 +84,10 @@ class _JsonUsageGroup(click.Group):
 def _usage_errors():
     try:
         yield
-    except (UsageInputError, click.exceptions.NoArgsIsHelpError):
-        raise  # already reported, or a bare command asking for its help text
+    except (UsageInputError, MissingCommandError):
+        raise  # already reported
+    except click.exceptions.NoArgsIsHelpError as exc:
+        raise MissingCommandError(exc.ctx) from exc
     except click.UsageError as exc:
         raise UsageInputError(exc.format_message(), exc.ctx) from exc
 

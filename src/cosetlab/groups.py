@@ -530,28 +530,6 @@ def _wreath_stream(base_elems: list[GroupElement], copies: int) -> Iterator[Wrea
             yield w
 
 
-def product_group(factors: list[FiniteGroup], cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Direct product over TupleElement components."""
-    idents = tuple(f.identity for f in factors)
-    gens = []
-    for idx, f in enumerate(factors):
-        for g in f.generators:
-            gens.append(TupleElement(tuple(g if j == idx else idents[j]
-                                           for j in range(len(factors)))))
-
-    def all_elements():
-        parts = [f.elements(cap) for f in factors]
-        return (TupleElement(combo) for combo in itertools.product(*parts))
-
-    known = None
-    if all(f.known_order is not None for f in factors):
-        known = 1
-        for f in factors:
-            known *= f.known_order
-    return FiniteGroup(gens, TupleElement(idents), name="product",
-                       elements_hint=all_elements, known_order=known)
-
-
 def group_to_json(g: FiniteGroup):
     if all(isinstance(x, Permutation) for x in (*g.generators, g.identity)):
         return {"degree": g.identity.degree,
@@ -578,21 +556,15 @@ def group_from_json(data) -> FiniteGroup:
 
 # -- the doubled-point action of two-slot wreath elements ------------------------
 
-def gamma_point_image(w: WreathElement, row: int, col: int) -> tuple[int, int]:
-    """Image of the point (row, col), col in {1, 2}, under a two-slot wreath element."""
-    target = (col - 1 + w.shift) % 2
-    return w.slots[target].apply(row), target + 1
-
-
 def wreath_embed(w: WreathElement) -> Permutation:
     """Flatten a two-slot wreath element over degree-n permutations into one
     permutation of 2n points.
 
     The map is a group homomorphism for the slot-permuting multiplication and
     left-to-right composition; column c of the doubled point set is sent to
-    column c + shift and acted on by the slot with that destination index
-    (:func:`gamma_point_image`).  Two slot permutations of one degree give a
-    bijection, so the result is built without re-checking.
+    column c + shift and acted on by the slot with that destination index.
+    Two slot permutations of one degree give a bijection, so the result is
+    built without re-checking.
     """
     if len(w.slots) != 2:
         raise ValueError("embedding is defined for two-slot wreath elements")

@@ -290,29 +290,3 @@ def random_element(chain: StabilizerChain, rng: random.Random) -> Permutation:
     for lvl in range(chain.degree - 1, -1, -1):
         g = compose(g, rng.choice(_sorted_reps(chain.transversals[lvl])))
     return g
-
-
-def point_set(points: Iterable[int], n: int) -> tuple[int, ...]:
-    """Normalize a subset of {1..n} to a sorted duplicate-free tuple."""
-    pts = sorted(points)
-    if len(set(pts)) != len(pts):
-        raise ValueError(f"duplicate points in {pts}")
-    if pts and (pts[0] < 1 or pts[-1] > n):
-        raise ValueError(f"points {pts} not inside 1..{n}")
-    return tuple(pts)
-
-
-def setwise_stabilizer_generators(n: int, points: Iterable[int]) -> list[Permutation]:
-    """Generators of the full setwise stabilizer of ``points`` inside S_n.
-
-    The stabilizer splits as the product of the symmetric groups on the set
-    and on its complement, so transpositions of neighbours within each part
-    generate it.
-    """
-    inside = point_set(points, n)
-    outside = tuple(x for x in range(1, n + 1) if x not in set(inside))
-    gens = []
-    for part in (inside, outside):
-        for a, b in zip(part, part[1:]):
-            gens.append(Permutation.from_cycles(n, [(a, b)]))
-    return gens

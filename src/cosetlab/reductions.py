@@ -13,13 +13,12 @@ literal product-domain function for small cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, WreathElement,
-                     close_under_op, element_key, element_pow, gamma_point_image,
-                     group_op, invert, reduce_generators, wreath_embed,
-                     wreath_group, wreath_unembed)
+                     close_under_op, element_key, element_pow, group_op, invert,
+                     reduce_generators, wreath_embed, wreath_group, wreath_unembed)
 from .instances import (GhshInstance, HiddenCosetInstance, HspInstance, Label,
                         OracleFunction, OrbitCosetInstance, Side)
 from .perms import Permutation
@@ -241,38 +240,85 @@ class Constraint:
         raise NotImplementedError
 
 
-@dataclass
-class GroupConstraint(Constraint):
-    """Constraint given by an explicit generated group."""
-
-    group: FiniteGroup
-    cap: int = DEFAULT_CAP
-
-    def contains(self, x: GroupElement) -> bool:
-        return self.group.contains(x, self.cap)
-
-
 @dataclass(frozen=True)
 class GammaSetStabilizer(Constraint):
     """Setwise stabilizer of doubled points (row, column), columns 1-based.
 
-    Accepts two-slot wreath elements over permutations and checks images under
-    the doubled-point action without flattening, or plain permutations over
-    the flattened 2n points.
+    Accepts two-slot wreath elements over permutations, or plain permutations
+    over the flattened 2n points.  The pair set is compiled at construction.
+    A wreath element with shift t sends (r, c) to row ``slots[d].images[r-1]``
+    of column d + 1, where d = (c - 1 + t) mod 2; so for each shift the test is
+    one slot condition ``(d, r - 1, allowed rows of column d + 1)`` per pair.
+    A flat permutation must send each point of the flattened set into it.
+    The action is a bijection, so mapping the set into itself is mapping it
+    onto itself, and the first condition that fails decides.  ``contains``
+    is the compiled test.
     """
 
     rows: int
     pairs: frozenset[tuple[int, int]]
+    _conditions: tuple = field(init=False, repr=False, compare=False)
+    contains: Callable[[GroupElement], bool] = field(init=False, repr=False,
+                                                     compare=False)
 
-    def contains(self, x: GroupElement) -> bool:
-        # The action is a bijection, so mapping the set into itself is
-        # mapping it onto itself; the first point sent outside decides.
+    def __post_init__(self):
+        pairs = sorted(self.pairs)
+        allowed = (frozenset(r for r, c in pairs if c == 1),
+                   frozenset(r for r, c in pairs if c == 2))
+        slot_conditions = ([], [])
+        for r, c in pairs:
+            for t in (0, 1):
+                d = (c - 1 + t) % 2
+                slot_conditions[t].append((d, r - 1, allowed[d]))
+        flat = frozenset(r + (c - 1) * self.rows for r, c in pairs)
+        conditions = (tuple(slot_conditions[0]), tuple(slot_conditions[1]),
+                      tuple((p - 1, flat) for p in sorted(flat)))
+        object.__setattr__(self, "_conditions", conditions)
+        object.__setattr__(self, "contains", _doubled_point_test(*conditions))
+
+
+def _doubled_point_test(shift0: tuple, shift1: tuple, flat: tuple
+                        ) -> Callable[[GroupElement], bool]:
+    """One predicate over compiled doubled-point conditions: the slot
+    conditions of each shift for wreath elements, the point conditions for
+    flat permutations, tested in order until one fails."""
+    by_shift = (shift0, shift1)
+
+    def test(x: GroupElement) -> bool:
         if isinstance(x, WreathElement):
-            return all(gamma_point_image(x, r, c) in self.pairs for (r, c) in self.pairs)
+            slots = x.slots
+            for d, i, allowed in by_shift[x.shift]:
+                if slots[d].images[i] not in allowed:
+                    return False
+            return True
         if isinstance(x, Permutation):
-            flat = {r + (c - 1) * self.rows for (r, c) in self.pairs}
-            return all(x.apply(p) in flat for p in flat)
+            images = x.images
+            for i, allowed in flat:
+                if images[i] not in allowed:
+                    return False
+            return True
         raise TypeError("doubled-point stabilizer needs wreath elements or permutations")
+
+    return test
+
+
+def _conjunction(constraints: tuple[Constraint, ...]) -> Callable[[GroupElement], bool]:
+    """One predicate for every constraint at once; the first failure decides.
+    Doubled-point stabilizers join their conditions into one compiled test."""
+    if len(constraints) == 1:
+        return constraints[0].contains
+    if constraints and all(isinstance(c, GammaSetStabilizer) for c in constraints):
+        return _doubled_point_test(
+            *(sum((c._conditions[k] for c in constraints), ()) for k in range(3)))
+    tests = tuple(c.contains for c in constraints)
+
+    def accepts(g: GroupElement) -> bool:
+        for test in tests:
+            if not test(g):
+                return False
+        return True
+
+    return accepts
 
 
 class StructuredHspInstance:
@@ -281,17 +327,22 @@ class StructuredHspInstance:
     Stands for the product-domain instance whose hidden subgroup is the
     diagonal copy of (base hidden subgroup) intersected with every constraint;
     the product is never materialized.  Solvers filter the base kernel through
-    the constraint predicates.  The base may itself be a structured instance:
-    intersection is associative, so nesting changes no kernel, and instances
-    sharing a constraint prefix share that prefix's filtered kernel, which
-    ``kernel`` computes once and caches.  ``audit_oracle`` exposes the
-    literal product-domain function for small-case cross-checks.
+    ``accepts``, the constraints' predicates bound once into one conjunction.
+    The base may itself be a structured instance: intersection is associative,
+    so nesting changes no kernel, and instances sharing a constraint prefix
+    share that prefix's filtered kernel, which ``kernel`` computes once and
+    caches.  A slotted class, since a plan makes one per query.
+    ``audit_oracle`` exposes the literal product-domain function for
+    small-case cross-checks.
     """
+
+    __slots__ = ("base", "constraints", "accepts", "_kernel")
 
     def __init__(self, base: HspInstance | StructuredHspInstance,
                  constraints: Sequence[Constraint] = ()):
         self.base = base
         self.constraints = tuple(constraints)
+        self.accepts = _conjunction(self.constraints)
         self._kernel: list[GroupElement] | None = None
 
     @property
@@ -301,8 +352,7 @@ class StructuredHspInstance:
     def diagonal_kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
         """Base-kernel elements satisfying every constraint (the diagonal,
         read off its first coordinate)."""
-        return [g for g in self.base.kernel(cap)
-                if all(c.contains(g) for c in self.constraints)]
+        return list(filter(self.accepts, self.base.kernel(cap)))
 
     def kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
         """``diagonal_kernel``, computed on the first call and cached."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, GroupElement,
                      dihedral_subgroup, wreath_group)
@@ -21,12 +21,9 @@ from .instances import HspInstance, Label, OracleFunction, Side
 from .perms import Permutation, StabilizerChain, build_stabilizer_chain
 from .reductions import GammaSetStabilizer, StructuredHspInstance, paired_oracle
 
-_clock = itertools.count(1)
-
-
-def event_stamp() -> int:
-    """Monotonic stamp shared by batch sealing and oracle call logging."""
-    return next(_clock)
+# Monotonic stamps shared by query records, batch sealing and oracle call
+# logging: ``event_stamp()`` returns the next one.
+event_stamp = itertools.count(1).__next__
 
 
 class DecisionAnswer(enum.Enum):
@@ -46,13 +43,17 @@ class NotSmoothError(ValueError):
     """A prime factor above the smoothness bound remains."""
 
 
-@dataclass(frozen=True)
 class QueryRecord:
-    """One decision query: an index tuple plus the instance it asks about."""
+    """One decision query: an index tuple, the instance it asks about, and the
+    stamp taken when it was made.  A slotted class, since a plan makes one per
+    query; immutable by convention."""
 
-    index: tuple
-    instance: object
-    created_stamp: int = field(default_factory=event_stamp)
+    __slots__ = ("index", "instance", "created_stamp")
+
+    def __init__(self, index: tuple, instance):
+        self.index = index
+        self.instance = instance
+        self.created_stamp = event_stamp()
 
 
 class QueryBatch:
@@ -79,8 +80,9 @@ class QueryBatch:
         return {r.index: oracle.answer(r) for r in self.records}
 
 
-@dataclass(frozen=True)
-class CallLogEntry:
+class CallLogEntry(NamedTuple):
+    """One oracle call: its stamp and the index of the query it answered."""
+
     stamp: int
     index: tuple
 

@@ -13,9 +13,10 @@ from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
 from cosetlab.instances import (GroupAction, OracleFunction, Side, plant_coset,
                                 plant_ghsh, plant_hsp, plant_orbit_coset)
 from cosetlab.perms import parse_cycles
-from cosetlab.reductions import GroupConstraint, StructuredHspInstance
+from cosetlab.reductions import StructuredHspInstance
 from cosetlab.search_decision import (DecisionAnswer, QueryRecord,
                                       hsp_search_via_decision)
+from reference_groups import GroupConstraint
 
 
 def keys(elems):

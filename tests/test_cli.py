@@ -272,6 +272,8 @@ def test_check_rejects_bad_program_spec(spec):
     (["selftest", "--max-degree", "2"], None),
     (["selftest", "--max-degree", "7"], None),
     (["selftest", "--max-degree", "9"], None),
+    ([], None),
+    (["plant"], None),
 ])
 def test_invalid_input_exits_2_with_json_error(args, stdin, tmp_path):
     args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]

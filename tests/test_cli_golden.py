@@ -1,0 +1,104 @@
+"""Golden CLI transcripts: seeded commands whose stdout is pinned by digest.
+
+Each pipeline runs in process, feeding ``outputs.instance`` of one report to
+the next command on stdin.  A report's digest is the SHA-256 of its stdout
+with the ``elapsed_s`` line removed, so any change to a query, an answer, a
+counter or the report layout shows up here.
+"""
+
+import hashlib
+import json
+import re
+import sys
+
+import pytest
+from click.testing import CliRunner
+
+from cosetlab.cli import main
+
+ELAPSED = re.compile(r'^\s*"elapsed_s": [-+.0-9e]+,?\n', re.M)
+
+S3_TRIVIAL = ["plant", "hsp", "--group", "s3"]
+S3_C2 = ["plant", "hsp", "--group", "s3", "--subgroup", "(1 2)"]
+
+# (name, commands, digest of each command's stdout)
+PIPELINES = [
+    ("readme-s3-querylog",
+     [["plant", "hsp", "--group", "s3", "--subgroup", "(1 2 3)"],
+      ["search-via-decision", "--emit-querylog"]],
+     ["300046e525ebbdc2", "4c11e13d9b568189"]),
+    ("readme-z4-coset",
+     [["plant", "coset", "--group", "z4", "--subgroup", "2", "--shift", "1"],
+      ["reduce"], ["solve"]],
+     ["ea9db15d0f798767", "2bf83e61bc51ab8c", "66930acf814bd316"]),
+    ("readme-d60-dihedral",
+     [["plant", "hsp", "--group", "d60", "--subgroup", "r37s"],
+      ["search-via-decision", "--smooth-bound", "5"]],
+     ["7f3a5a1536b8b7cd", "6765146c787423b1"]),
+    ("readme-s3-check-always-trivial",
+     [S3_C2, ["--seed", "1", "check", "--program", "buggy:always-trivial",
+              "--k", "7", "--runs", "100"]],
+     ["93d15b239c30e4be", "e8afb20970917903"]),
+    ("s4-querylog",
+     [["plant", "hsp", "--group", "s4", "--subgroup", "(1 2)(3 4)"],
+      ["search-via-decision", "--emit-querylog"]],
+     ["499a06e6828079b0", "6b3b8429cca3fa7f"]),
+    ("s4-trivial-querylog",
+     [["plant", "hsp", "--group", "s4"], ["search-via-decision", "--emit-querylog"]],
+     ["21fb81efe8500c81", "518b3234f4faa749"]),
+    ("s3-shift-search",
+     [["plant", "coset", "--group", "s3", "--subgroup", "", "--shift", "(1 2 3)"],
+      ["--seed", "4", "search-via-decision"]],
+     ["68570faa49efecfe", "d291c74c456194c7"]),
+    ("check-decision-bruteforce",
+     [S3_C2, ["--seed", "5", "check", "--k", "3", "--runs", "2"]],
+     ["93d15b239c30e4be", "13dedcb51adcfd90"]),
+    ("check-decision-bruteforce-trivial",
+     [S3_TRIVIAL, ["--seed", "6", "check", "--k", "2"]],
+     ["90ae87a83418322f", "245d35e9f558dde9"]),
+    ("check-decision-always-nontrivial",
+     [S3_TRIVIAL, ["--seed", "7", "check", "--program", "buggy:always-nontrivial",
+                   "--k", "3", "--runs", "2"]],
+     ["90ae87a83418322f", "76b77296ec6e375b"]),
+    ("check-decision-flip",
+     [S3_TRIVIAL, ["--seed", "8", "check", "--program", "buggy:flip:0.3",
+                   "--k", "3", "--runs", "3"]],
+     ["90ae87a83418322f", "d66cd83a2329c87e"]),
+    ("check-search-bruteforce",
+     [S3_C2, ["--seed", "9", "check", "--flavor", "search", "--k", "3"]],
+     ["93d15b239c30e4be", "957a037fe82ee441"]),
+    ("check-search-always-trivial",
+     [S3_C2, ["--seed", "10", "check", "--flavor", "search",
+              "--program", "buggy:always-trivial", "--k", "3", "--runs", "2"]],
+     ["93d15b239c30e4be", "d223abf14f3a7fa1"]),
+    ("check-search-always-nontrivial",
+     [S3_TRIVIAL, ["--seed", "11", "check", "--flavor", "search",
+                   "--program", "buggy:always-nontrivial", "--k", "3", "--runs", "2"]],
+     ["90ae87a83418322f", "120eb7339020308b"]),
+    ("check-search-flip",
+     [S3_C2, ["--seed", "12", "check", "--flavor", "search",
+              "--program", "buggy:flip:0.3", "--k", "3", "--runs", "3"]],
+     ["93d15b239c30e4be", "fd337a8bce82257b"]),
+]
+
+
+def stdout_digest(text: str) -> str:
+    return hashlib.sha256(ELAPSED.sub("", text).encode()).hexdigest()[:16]
+
+
+def run_pipeline(commands, monkeypatch):
+    digests, stdin = [], None
+    for args in commands:
+        # Reports echo sys.argv, as a shell invocation would set it.
+        monkeypatch.setattr(sys, "argv", ["cosetlab", *args])
+        result = CliRunner().invoke(main, args, input=stdin)
+        assert result.exit_code == 0, result.output
+        digests.append(stdout_digest(result.stdout))
+        stdin = json.dumps(json.loads(result.stdout)["outputs"].get("instance"))
+    return digests
+
+
+@pytest.mark.parametrize("commands, expected",
+                         [p[1:] for p in PIPELINES], ids=[p[0] for p in PIPELINES])
+def test_golden_cli_output(commands, expected, monkeypatch):
+    assert run_pipeline(commands, monkeypatch) == expected

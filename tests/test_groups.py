@@ -10,9 +10,10 @@ from cosetlab.groups import (CyclicElement, DihedralElement, FiniteGroup,
                              element_from_json, element_key, element_pow,
                              element_to_json, enumerate_group, group_from_json,
                              group_op, group_to_json, identity_like, invert,
-                             product_group, symmetric_group, wreath_embed,
-                             wreath_group, wreath_unembed)
+                             symmetric_group, wreath_embed, wreath_group,
+                             wreath_unembed)
 from cosetlab.perms import ExceedsCapError, Permutation, parse_cycles
+from reference_groups import product_group
 
 
 def wz4(a, b, t):

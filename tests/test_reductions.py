@@ -7,20 +7,19 @@ from click.testing import CliRunner
 from cosetlab.cli import main
 from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
                              close_under_op, cyclic_group, element_from_json,
-                             element_key, gamma_point_image, group_op,
-                             invert, product_group, symmetric_group, wreath_embed,
-                             wreath_group)
-from cosetlab.instances import (GroupAction, HspInstance, Side, plant_coset,
-                                plant_ghsh, plant_hsp, plant_orbit_coset,
-                                verify_promise)
+                             element_key, group_op, invert, symmetric_group,
+                             wreath_embed, wreath_group)
+from cosetlab.instances import (GroupAction, HspInstance, OracleFunction, Side,
+                                plant_coset, plant_ghsh, plant_hsp,
+                                plant_orbit_coset, verify_promise)
 from cosetlab.perms import Permutation, parse_cycles
-from cosetlab.reductions import (GammaSetStabilizer, GroupConstraint,
-                                 InvalidKGeneratorsError,
+from cosetlab.reductions import (GammaSetStabilizer, InvalidKGeneratorsError,
                                  StructuredHspInstance, embed_wreath_instance,
                                  ghsh_to_hsp, hidden_coset_to_hsp,
                                  orbit_coset_to_hsp,
                                  recover_coset_solution, recover_ghsh_functions,
                                  recover_orbit_solution)
+from reference_groups import GroupConstraint, gamma_point_image, product_group
 
 
 def keys(elems):
@@ -340,18 +339,43 @@ def test_multi_intersection_audit_oracle_matches_diagonal():
     assert verify_promise(audit)
 
 
+def _gamma_corpus():
+    """Every subset of the 6 doubled points of S3 wr Z2, and every two-point
+    set of the 8 doubled points of S4 wr Z2."""
+    for n, sizes in ((3, range(7)), (4, (2,))):
+        points = [(r, c) for r in range(1, n + 1) for c in (1, 2)]
+        for size in sizes:
+            for pairs in map(frozenset, itertools.combinations(points, size)):
+                yield n, pairs
+
+
 def test_gamma_set_stabilizer_matches_embedding():
-    wr = wreath_group(symmetric_group(3), 2)
-    points = [(r, c) for r in (1, 2, 3) for c in (1, 2)]
-    for pairs in map(frozenset, itertools.combinations(points, 2)):
-        constraint = GammaSetStabilizer(3, pairs)
-        flat = {r + (c - 1) * 3 for (r, c) in pairs}
-        for w in wr.elements():
-            direct = constraint.contains(w)
-            assert direct == ({gamma_point_image(w, r, c) for (r, c) in pairs} == pairs)
+    elements = {n: wreath_group(symmetric_group(n), 2).elements() for n in (3, 4)}
+    seen = {3: 0, 4: 0}
+    for n, pairs in _gamma_corpus():
+        seen[n] += 1
+        constraint = GammaSetStabilizer(n, pairs)
+        flat = {r + (c - 1) * n for (r, c) in pairs}
+        for w in elements[n]:
+            compiled = constraint.contains(w)
+            assert compiled == ({gamma_point_image(w, r, c) for (r, c) in pairs} == pairs)
             embedded = wreath_embed(w)
-            assert direct == ({embedded.apply(p) for p in flat} == flat)
-            assert direct == constraint.contains(embedded)
+            assert compiled == ({embedded.apply(p) for p in flat} == flat)
+            assert compiled == constraint.contains(embedded)
+    assert seen == {3: 64, 4: 28}
+
+
+def test_joined_stabilizers_accept_what_each_accepts():
+    wr = wreath_group(symmetric_group(3), 2)
+    base = HspInstance(wr, OracleFunction(lambda w: 0), Side.LEFT)
+    stabilizers = [GammaSetStabilizer(3, pairs)
+                   for n, pairs in _gamma_corpus() if n == 3 and len(pairs) == 2]
+    elements = [(w, wreath_embed(w)) for w in wr.elements()]
+    for first, second in itertools.product(stabilizers, repeat=2):
+        accepts = StructuredHspInstance(base, (first, second)).accepts
+        for w, embedded in elements:
+            assert accepts(w) == (first.contains(w) and second.contains(w))
+            assert accepts(embedded) == accepts(w)
 
 
 def test_nested_structured_instance_matches_flat_constraints():

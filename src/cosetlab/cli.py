@@ -69,11 +69,15 @@ class _JsonUsageGroup(click.Group):
     group's arguments or a subcommand's, which happens inside these two
     calls; each such error is reported as a :class:`UsageInputError`, and a
     bare group (``cosetlab``, ``cosetlab plant``) as a
-    :class:`MissingCommandError`."""
+    :class:`MissingCommandError`.  The arguments click was given are kept in
+    the context's ``meta`` for the report to echo."""
 
-    def make_context(self, *args, **kwargs):
+    def make_context(self, info_name, args, parent=None, **extra):
+        argv = list(args)
         with _usage_errors():
-            return super().make_context(*args, **kwargs)
+            ctx = super().make_context(info_name, args, parent, **extra)
+        ctx.meta["cosetlab.argv"] = argv
+        return ctx
 
     def invoke(self, ctx):
         with _usage_errors():
@@ -294,7 +298,7 @@ def _verified(inst, cap):
 @click.pass_context
 def main(ctx, seed, cap):
     """Desk-scale hidden-structure workbench over small finite groups."""
-    ctx.obj = {"seed": seed, "cap": cap, "argv": sys.argv[1:]}
+    ctx.obj = {"seed": seed, "cap": cap, "argv": ctx.meta["cosetlab.argv"]}
 
 
 @main.group()

@@ -352,6 +352,7 @@ class FiniteGroup:
     known_order: int | None = None
     _elements: list[GroupElement] | None = field(default=None, repr=False)
     _members: frozenset | None = field(default=None, repr=False)
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __init__(self, generators: Iterable[GroupElement], identity: GroupElement,
                  name: str = "", elements_hint=None, known_order: int | None = None):
@@ -362,6 +363,15 @@ class FiniteGroup:
         self.known_order = known_order
         self._elements = None
         self._members = None
+        self._derived = {}
+
+    def derived(self, key, build: Callable[[], object]):
+        """A structure other modules derive from this group (a search plan's
+        skeleton, say): ``build()`` on the first call with ``key``, kept with
+        the group and returned by every later call."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def iter_elements(self, cap: int = DEFAULT_CAP) -> Iterator[GroupElement]:
         """Stream every element once, without forcing the list into memory.

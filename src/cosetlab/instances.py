@@ -51,6 +51,21 @@ class OracleFunction:
 
     __call__ = evaluate
 
+    def select(self, elements: Iterable[GroupElement], label: Label) -> list[GroupElement]:
+        """The elements labeled ``label``, in stream order.  Evaluates every
+        element once, so the count advances by one per element tested;
+        subclasses that know the label's structure may test it cheaper."""
+        fn = self._fn
+        kept: list[GroupElement] = []
+        tested = 0
+        try:
+            for tested, g in enumerate(elements, 1):
+                if fn(g) == label:
+                    kept.append(g)
+        finally:
+            self._count += tested
+        return kept
+
     @property
     def evaluations(self) -> int:
         return self._count
@@ -98,13 +113,13 @@ class HspInstance:
 
     def kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
         """Elements sharing the identity's label; equals the hidden subgroup
-        when the promise holds.  Cached after the first full enumeration,
-        which streams the group so large structured groups are never held in
-        memory at once."""
+        when the promise holds.  The oracle selects them from a stream of the
+        group, so large structured groups are never held in memory at once;
+        cached after the first call."""
         if self._kernel is None:
-            evaluate = self.oracle.evaluate
-            base = evaluate(self.group.identity)
-            self._kernel = [g for g in self.group.iter_elements(cap) if evaluate(g) == base]
+            oracle = self.oracle
+            base = oracle.evaluate(self.group.identity)
+            self._kernel = oracle.select(self.group.iter_elements(cap), base)
         return self._kernel
 
 

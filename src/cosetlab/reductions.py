@@ -7,14 +7,13 @@ instance was planted).  Recovery maps run the constructions backwards.
 
 The intersection gadget represents a hidden-subgroup instance constrained by
 extra groups without materializing the direct product; solvers consume the
-base instance plus membership predicates, while an audit oracle exposes the
-literal product-domain function for small cross-checks.
+base instance plus membership predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, WreathElement,
                      close_under_op, element_key, element_pow, group_op, invert,
@@ -68,23 +67,54 @@ def instance_from_json_any(data: dict, cap: int = DEFAULT_CAP):
 # -- hidden coset <-> hidden subgroup ---------------------------------------------
 
 
-def paired_oracle(f1: Callable[[GroupElement], Label],
-                  f2: Callable[[GroupElement], Label],
-                  description: str) -> OracleFunction:
-    """Pair two functions over the slots of two-slot wreath elements.
+class PairedOracle(OracleFunction):
+    """Two functions paired over the slots of two-slot wreath elements:
+    (f1(a), f2(b)) on ((a, b), 0) and (f2(b), f1(a)) on ((a, b), 1).
 
-    Gives (f1(a), f2(b)) on ((a, b), 0) and (f2(b), f1(a)) on ((a, b), 1).
-    Every pairing construction is this one: the hidden-coset and orbit-coset
-    reductions and each level of the search-to-decision plan.
+    ``select`` tests a pair label slot by slot, in label order, and computes
+    the second slot's label only when the first one matches; it still tests
+    every element it is given, one count each.
     """
 
-    def paired(w: WreathElement) -> Label:
-        a, b = w.slots
-        if w.shift == 0:
-            return (f1(a), f2(b))
-        return (f2(b), f1(a))
+    def __init__(self, f1: Callable[[GroupElement], Label],
+                 f2: Callable[[GroupElement], Label], description: str):
+        self.f1 = f1
+        self.f2 = f2
 
-    return OracleFunction(paired, description=description)
+        def paired(w: WreathElement) -> Label:
+            a, b = w.slots
+            if w.shift == 0:
+                return (f1(a), f2(b))
+            return (f2(b), f1(a))
+
+        super().__init__(paired, description)
+
+    def select(self, elements: Iterable[GroupElement], label: Label) -> list[GroupElement]:
+        if not (isinstance(label, tuple) and len(label) == 2):
+            # No paired label equals it; the generic path selects nothing.
+            return super().select(elements, label)
+        f1, f2 = self.f1, self.f2
+        first, second = label
+        kept: list[GroupElement] = []
+        keep = kept.append
+        tested = 0
+        try:
+            for tested, w in enumerate(elements, 1):
+                a, b = w.slots
+                if w.shift == 0:
+                    if f1(a) == first and f2(b) == second:
+                        keep(w)
+                elif f2(b) == first and f1(a) == second:
+                    keep(w)
+        finally:
+            self._count += tested
+        return kept
+
+
+# ``paired_oracle(f1, f2, description)`` is how every pairing is built: the
+# hidden-coset and orbit-coset reductions and each level of the
+# search-to-decision plan.
+paired_oracle = PairedOracle
 
 
 def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
@@ -332,8 +362,6 @@ class StructuredHspInstance:
     so nesting changes no kernel, and instances sharing a constraint prefix
     share that prefix's filtered kernel, which ``kernel`` computes once and
     caches.  A slotted class, since a plan makes one per query.
-    ``audit_oracle`` exposes the literal product-domain function for
-    small-case cross-checks.
     """
 
     __slots__ = ("base", "constraints", "accepts", "_kernel")
@@ -359,26 +387,6 @@ class StructuredHspInstance:
         if self._kernel is None:
             self._kernel = self.diagonal_kernel(cap)
         return self._kernel
-
-    def audit_oracle(self) -> OracleFunction:
-        """The product-domain function (f(g), g g_1^-1, ..., g g_k^-1) over
-        tuple elements; for exhaustive comparison on small cases only."""
-        if not isinstance(self.base, HspInstance):
-            raise TypeError("the audit oracle needs a plain hidden-subgroup base")
-        base_oracle = self.base.oracle
-        k = len(self.constraints)
-
-        def f_prime(t) -> Label:
-            items = t.items
-            if len(items) != k + 1:
-                raise ValueError(f"expected a {k + 1}-component tuple element")
-            g = items[0]
-            parts = [base_oracle.evaluate(g)]
-            for gi in items[1:]:
-                parts.append(element_key(group_op(g, invert(gi))))
-            return tuple(parts)
-
-        return OracleFunction(f_prime, description="intersection audit")
 
 
 # -- flattening wreath instances to permutation instances ---------------------------

@@ -221,9 +221,12 @@ def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearc
     For each level i the base is the paired oracle over (pointwise stabilizer
     of 1..i-1) wreath the slot swap, constrained by three doubled-point
     setwise stabilizers indexed by (i, j), (i, j'), (k, l).  The group's
-    skeleton is built first, then joined with the instance.
+    skeleton is built on its first search with ``cap`` and kept with the
+    group object, so every later search over it only joins its instance.
     """
-    return instantiate_plan(build_plan_skeleton(inst.group, cap), inst)
+    group = inst.group
+    skeleton = group.derived(("plan skeleton", cap), lambda: build_plan_skeleton(group, cap))
+    return instantiate_plan(skeleton, inst)
 
 
 def reconstruct_from_answers(n: int, answers: dict) -> Permutation | None:

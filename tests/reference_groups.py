@@ -1,8 +1,9 @@
 """Group constructions the tests use as references; the library never needs them.
 
-An explicit-group constraint, the direct product over tuple elements, full
-setwise stabilizers in S_n, and the doubled-point action of two-slot wreath
-elements written from its definition.
+An explicit-group constraint, the direct product over tuple elements, the
+literal product-domain oracle of a structured instance, full setwise
+stabilizers in S_n, and the doubled-point action of two-slot wreath elements
+written from its definition.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from cosetlab.groups import (DEFAULT_CAP, FiniteGroup, GroupElement, TupleElement,
-                             WreathElement)
+                             WreathElement, element_key, group_op, invert)
+from cosetlab.instances import HspInstance, Label, OracleFunction
 from cosetlab.perms import Permutation
-from cosetlab.reductions import Constraint
+from cosetlab.reductions import Constraint, StructuredHspInstance
 
 
 @dataclass
@@ -48,6 +50,28 @@ def product_group(factors: list[FiniteGroup], cap: int = DEFAULT_CAP) -> FiniteG
             known *= f.known_order
     return FiniteGroup(gens, TupleElement(idents), name="product",
                        elements_hint=all_elements, known_order=known)
+
+
+def audit_oracle(structured: StructuredHspInstance) -> OracleFunction:
+    """The product-domain function (f(g), g g_1^-1, ..., g g_k^-1) of a
+    structured instance over a plain base, over tuple elements; for
+    exhaustive comparison on small cases only."""
+    if not isinstance(structured.base, HspInstance):
+        raise TypeError("the audit oracle needs a plain hidden-subgroup base")
+    base_oracle = structured.base.oracle
+    k = len(structured.constraints)
+
+    def f_prime(t) -> Label:
+        items = t.items
+        if len(items) != k + 1:
+            raise ValueError(f"expected a {k + 1}-component tuple element")
+        g = items[0]
+        parts = [base_oracle.evaluate(g)]
+        for gi in items[1:]:
+            parts.append(element_key(group_op(g, invert(gi))))
+        return tuple(parts)
+
+    return OracleFunction(f_prime, description="intersection audit")
 
 
 def point_set(points: Iterable[int], n: int) -> tuple[int, ...]:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -37,6 +40,17 @@ def test_plant_hsp_reports_labels():
     assert report["outputs"]["distinct_labels"] == 3
     assert report["outputs"]["instance"]["problem"] == "hsp"
     assert report["instance_digest"]
+
+
+def test_report_echoes_the_arguments_click_was_given():
+    # sys.argv is the test runner's own; the report must not echo it.
+    args = ["--seed", "5", "plant", "hsp", "--group", "s3", "--subgroup", "(1 2)"]
+    assert sys.argv[1:] != args
+    assert payload(run(args))["command"] == args
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main.main(args=args, prog_name="cosetlab", standalone_mode=False)
+    assert json.loads(out.getvalue())["command"] == args
 
 
 def test_plant_reduce_solve_pipeline():

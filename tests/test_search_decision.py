@@ -11,7 +11,7 @@ from cosetlab.groups import (DihedralElement, close_under_op, cyclic_group,
 from cosetlab.instances import Side, plant_coset, plant_hsp
 from cosetlab.perms import build_stabilizer_chain, parse_cycles
 from cosetlab.reductions import (GammaSetStabilizer, StructuredHspInstance,
-                                 embed_wreath_group)
+                                 embed_wreath_group, paired_oracle)
 from cosetlab.search_decision import (DecisionAnswer, NoShiftError, NotSmoothError,
                                       OracleInconsistentError, SmoothFactorization,
                                       build_hsp_search_plan, build_plan_skeleton,
@@ -202,6 +202,78 @@ def test_shared_skeleton_plans_match_fresh_plans():
                         == [brute_decide(r.instance) for r in fresh.batch.records])
                 assert (finish_hsp_search(shared, shared.batch.run(BruteForceDecisionOracle()))
                         == hsp_search_via_decision(inst, BruteForceDecisionOracle()))
+
+
+def test_search_keeps_one_skeleton_per_group_and_cap(monkeypatch):
+    """A second search over the same group object builds no chain; another
+    cap or another group object builds its own skeleton."""
+    from cosetlab import search_decision
+    s4 = symmetric_group(4)
+    insts = [plant_hsp(s4, (), Side.LEFT),
+             plant_hsp(s4, (parse_cycles("(1 2)(3 4)", 4),), Side.LEFT)]
+    fresh = [finish_hsp_search(plan, plan.batch.run(BruteForceDecisionOracle()))
+             for plan in (instantiate_plan(build_plan_skeleton(s4), i) for i in insts)]
+    builds = []
+    monkeypatch.setattr(search_decision, "build_stabilizer_chain",
+                        lambda *args, _build=build_stabilizer_chain:
+                        builds.append(args) or _build(*args))
+    oracle = BruteForceDecisionOracle()
+    assert [hsp_search_via_decision(i, oracle) for i in insts] == fresh
+    assert len(builds) == 1
+    assert hsp_search_via_decision(insts[1], oracle, cap=50_000) == fresh[1]
+    assert len(builds) == 2
+    other = symmetric_group(4)
+    assert hsp_search_via_decision(plant_hsp(other, (), Side.LEFT), oracle) is None
+    assert len(builds) == 3
+
+
+def _select_matches_evaluate_and_compare(oracle, stream, label):
+    before = oracle.evaluations
+    expected = [g for g in stream if oracle.evaluate(g) == label]
+    spent = oracle.evaluations - before
+    before = oracle.evaluations
+    selected = oracle.select(iter(stream), label)
+    assert list(map(id, selected)) == list(map(id, expected))
+    assert oracle.evaluations - before == spent == len(stream)
+
+
+def _check_paired_select(oracle, stream):
+    labels = [oracle.evaluate(w) for w in stream]
+    base = oracle.evaluate(stream[0].identity_like())
+    # A non-identity label whose two parts differ, where one exists.
+    other = next((lab for lab in labels if lab != base and lab[0] != lab[1]),
+                 next((lab for lab in labels if lab != base), None))
+    for label in (base, other):
+        if label is not None:
+            _select_matches_evaluate_and_compare(oracle, stream, label)
+    before = oracle.evaluations
+    assert oracle.select(iter(stream), "not a pair") == []
+    assert oracle.evaluations - before == len(stream)
+
+
+def test_paired_select_matches_evaluate_and_compare():
+    """On every level of the S3 and S4 skeletons and of a flattened S3 wr Z2
+    trial group, the paired oracle's slot-by-slot selection keeps what
+    evaluate-and-compare keeps, in stream order, at the same count: for the
+    plan's slot labels of every instance and for two unrelated random
+    labelings, which keep no promise."""
+    families = [(group, [plant_hsp(group, gens, Side.LEFT) for gens in subgroups_of(group)])
+                for group in (symmetric_group(3), symmetric_group(4))]
+    families.append(_trial_instances(symmetric_group(3), (0, 1, 2)))
+    rng = random.Random(8)
+    for group, insts in families:
+        skeleton = build_plan_skeleton(group)
+        streams = [list(wreath.iter_elements()) for wreath, _ in skeleton.levels]
+        for inst in insts:
+            plan = instantiate_plan(skeleton, inst)
+            paired = plan.batch.records[0].instance.base.base.oracle
+            for stream in streams:
+                _check_paired_select(paired, stream)
+        for stream in streams:
+            slot_elements = list(dict.fromkeys(w.slots[1] for w in stream))
+            f1, f2 = ({g: rng.randrange(3) for g in slot_elements} for _ in range(2))
+            _check_paired_select(paired_oracle(f1.__getitem__, f2.__getitem__, "random"),
+                                 stream)
 
 
 def test_skeleton_rejects_an_instance_over_another_group():

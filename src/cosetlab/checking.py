@@ -398,7 +398,7 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
         claimed_emb, _ = program.answer(flat)
         try:
             k_gens = [wreath_unembed(p, n) for p in claimed_emb]
-            sub_gens, u_prime = recover_coset_solution(k_gens, inst.group)
+            sub_gens, u_prime = recover_coset_solution(k_gens)
         except (InvalidKGeneratorsError, ValueError) as exc:
             return TrialRecord(t, "translate trial", False, str(exc))
         recovered = set(close_under_op(sub_gens, inst.group.identity, cap))

@@ -24,14 +24,15 @@ from .groups import (DihedralElement, FiniteGroup, cyclic_group, dihedral_group,
                      element_from_json, element_to_json, symmetric_group,
                      wreath_group)
 from .instances import (GhshInstance, GroupAction, HiddenCosetInstance,
-                        HspInstance, OrbitCosetInstance, Side, instance_from_json,
-                        instance_to_json, plant_coset, plant_ghsh, plant_hsp,
-                        plant_orbit_coset, verify_promise)
+                        HspInstance, OrbitCosetInstance, Side, instance_to_json,
+                        plant_coset, plant_ghsh, plant_hsp, plant_orbit_coset,
+                        verify_promise)
 from .perms import ExceedsCapError, Permutation, parse_cycles
 from .reductions import instance_from_json_any, reduced_instance_to_json
-from .search_decision import (NoShiftError, OracleInconsistentError,
-                              dihedral_search_via_decision, hsh_search_via_decision,
-                              hsp_search_via_decision, smooth_factorize)
+from .search_decision import (DihedralSubgroupQuery, NoShiftError,
+                              OracleInconsistentError, dihedral_search_via_decision,
+                              hsh_search_via_decision, hsp_search_via_decision,
+                              smooth_factorize)
 from .selftest import MAX_DEGREE, MIN_DEGREE, SUITES, run_suites
 
 
@@ -69,8 +70,9 @@ class _JsonUsageGroup(click.Group):
     group's arguments or a subcommand's, which happens inside these two
     calls; each such error is reported as a :class:`UsageInputError`, and a
     bare group (``cosetlab``, ``cosetlab plant``) as a
-    :class:`MissingCommandError`.  The arguments click was given are kept in
-    the context's ``meta`` for the report to echo."""
+    :class:`MissingCommandError`.  An enumeration that outgrows ``--cap``
+    anywhere in a command is invalid input.  The arguments click was given
+    are kept in the context's ``meta`` for the report to echo."""
 
     def make_context(self, info_name, args, parent=None, **extra):
         argv = list(args)
@@ -81,7 +83,10 @@ class _JsonUsageGroup(click.Group):
 
     def invoke(self, ctx):
         with _usage_errors():
-            return super().invoke(ctx)
+            try:
+                return super().invoke(ctx)
+            except ExceedsCapError as exc:
+                raise InputError(str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -99,10 +104,10 @@ def _usage_errors():
 @contextlib.contextmanager
 def _input_errors():
     """Report the library's rejection of an argument as invalid input: the
-    constructors and planters raise ValueError, enumerations ExceedsCapError."""
+    constructors and planters raise ValueError."""
     try:
         yield
-    except (ValueError, ExceedsCapError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -198,15 +203,13 @@ def parse_action(shorthand: str, cap: int) -> GroupAction:
     raise InputError(f"unknown action shorthand: {shorthand!r}")
 
 
-def _query_group(query):
-    for attr in ("group", "base", "instance"):
-        inner = getattr(query, attr, None)
-        if inner is None:
-            continue
-        if attr == "group":
-            return inner
-        return _query_group(inner)
-    raise InputError("cannot read a group off this query")
+def _query_group(query) -> FiniteGroup:
+    """The group a fault predicate sees: a dihedral query's instance's, else
+    the query's own (a decision query's instance, a shift query, or the
+    instance a search program is asked about)."""
+    if isinstance(query, DihedralSubgroupQuery):
+        return query.instance.group
+    return query.group
 
 
 def parse_bug_spec(spec_text: str, seed: int) -> BugSpec | None:
@@ -233,11 +236,15 @@ def parse_bug_spec(spec_text: str, seed: int) -> BugSpec | None:
     raise InputError(f"unknown bug mode: {spec_text!r}")
 
 
+def _program(honest, bug: BugSpec | None):
+    """The honest program, or it wrapped to deviate as ``bug`` says."""
+    return honest if bug is None else wrap_buggy(honest, bug)
+
+
 def parse_program(spec_text: str, flavor: str, cap: int, seed: int):
     base = (BruteForceDecisionOracle(cap) if flavor == "decision"
             else BruteSearchProgram(cap))
-    spec = parse_bug_spec(spec_text, seed)
-    return base if spec is None else wrap_buggy(base, spec)
+    return _program(base, parse_bug_spec(spec_text, seed))
 
 
 def _read_instance_json(path: str | None) -> dict:
@@ -271,17 +278,27 @@ def _emit_report(ctx, outputs: dict, counters: dict, digest: str | None,
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
+def _counters(instance) -> dict:
+    """The summed evaluations of the instance's own oracles."""
+    if isinstance(instance, HspInstance):
+        oracles = (instance.oracle,)
+    elif isinstance(instance, HiddenCosetInstance):
+        oracles = (instance.f1, instance.f2)
+    elif isinstance(instance, GhshInstance):
+        oracles = instance.functions
+    else:
+        return {}
+    return {"oracle_evaluations": sum(f.evaluations for f in oracles)}
+
+
 def _load_and_verify(path, cap):
     data = _read_instance_json(path)
     try:
         instance = instance_from_json_any(data, cap)
     except (ValueError, KeyError, TypeError, ExceedsCapError) as exc:
         raise InputError(f"bad instance: {exc}")
-    try:
-        if not verify_promise(instance, cap):
-            raise InputError("instance violates its promise")
-    except ExceedsCapError as exc:
-        raise InputError(str(exc))
+    if not verify_promise(instance, cap):
+        raise InputError("instance violates its promise")
     return data, instance
 
 
@@ -290,6 +307,14 @@ def _verified(inst, cap):
     if not verify_promise(inst, cap):
         raise click.ClickException("planted instance failed its own promise")
     return inst
+
+
+def _emit_planted(ctx, inst, started: float, **outputs) -> None:
+    """The report of a plant command: the instance's JSON, any further
+    outputs, and the instance's counters."""
+    data = instance_to_json(inst)
+    _emit_report(ctx, {"instance": data, **outputs}, _counters(inst), _digest(data),
+                 started)
 
 
 @click.group(cls=_JsonUsageGroup)
@@ -319,9 +344,7 @@ def plant_hsp_cmd(ctx, group_text, subgroup_text, side):
         gens = parse_elements(subgroup_text, group)
         inst = _verified(plant_hsp(group, gens, Side(side), cap), cap)
         labels = {inst.oracle.evaluate(g) for g in group.elements(cap)}
-    data = instance_to_json(inst)
-    _emit_report(ctx, {"instance": data, "distinct_labels": len(labels)},
-                 {"oracle_evaluations": inst.oracle.evaluations}, _digest(data), started)
+    _emit_planted(ctx, inst, started, distinct_labels=len(labels))
 
 
 @plant.command("coset")
@@ -337,10 +360,7 @@ def plant_coset_cmd(ctx, group_text, subgroup_text, shift_text):
         gens = parse_elements(subgroup_text, group)
         shift = parse_element(shift_text, group)
         inst = _verified(plant_coset(group, gens, shift, cap), cap)
-    data = instance_to_json(inst)
-    _emit_report(ctx, {"instance": data},
-                 {"oracle_evaluations": inst.f1.evaluations + inst.f2.evaluations},
-                 _digest(data), started)
+    _emit_planted(ctx, inst, started)
 
 
 @plant.command("ghsh")
@@ -355,10 +375,7 @@ def plant_ghsh_cmd(ctx, group_text, shift_text, copies):
         group = parse_group(group_text)
         shift = parse_element(shift_text, group)
         inst = _verified(plant_ghsh(group, shift, copies, cap), cap)
-    data = instance_to_json(inst)
-    _emit_report(ctx, {"instance": data},
-                 {"oracle_evaluations": sum(f.evaluations for f in inst.functions)},
-                 _digest(data), started)
+    _emit_planted(ctx, inst, started)
 
 
 @plant.command("orbit-coset")
@@ -375,8 +392,7 @@ def plant_orbit_cmd(ctx, action_text, phi1, shift_text):
         shift = (None if shift_text.strip().lower() == "none"
                  else parse_element(shift_text, action.group))
         inst = _verified(plant_orbit_coset(action, phi1, shift), cap)
-    data = instance_to_json(inst)
-    _emit_report(ctx, {"instance": data}, {}, _digest(data), started)
+    _emit_planted(ctx, inst, started)
 
 
 @main.command("reduce")
@@ -386,24 +402,17 @@ def reduce_cmd(ctx, path):
     """Carry a coset / shift-chain / orbit instance into hidden-subgroup form."""
     started = time.monotonic()
     cap = ctx.obj["cap"]
-    data, instance = _load_and_verify(path, cap)
-    try:
+    data, _ = _load_and_verify(path, cap)
+    with _input_errors():
         reduced_json = reduced_instance_to_json(data)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    try:
-        reduced = instance_from_json_any(reduced_json, cap)
-        ok = verify_promise(reduced, cap)
-    except ExceedsCapError as exc:
-        raise InputError(str(exc))
-    if not ok:
+    reduced = instance_from_json_any(reduced_json, cap)
+    if not verify_promise(reduced, cap):
         raise click.ClickException("reduced instance failed its promise")
     _emit_report(ctx, {"instance": reduced_json,
                        "provenance": reduced_json["construction"]["via"],
                        "hidden_subgroup_generators":
                            [element_to_json(g) for g in (reduced.planted_subgroup or ())]},
-                 {"oracle_evaluations": reduced.oracle.evaluations},
-                 _digest(reduced_json), started)
+                 _counters(reduced), _digest(reduced_json), started)
 
 
 @main.command("solve")
@@ -414,38 +423,26 @@ def solve_cmd(ctx, path):
     started = time.monotonic()
     cap = ctx.obj["cap"]
     data, instance = _load_and_verify(path, cap)
-    try:
-        outputs, counters = _solve(instance, cap)
-    except ExceedsCapError as exc:
-        raise InputError(str(exc))
-    _emit_report(ctx, outputs, counters, _digest(data), started)
+    outputs = _solve(instance, cap)
+    _emit_report(ctx, outputs, _counters(instance), _digest(data), started)
 
 
-def _solve(instance, cap):
+def _solve(instance, cap) -> dict:
     if isinstance(instance, HspInstance):
         gens = brute_hsp_solve(instance, cap)
-        outputs = {"subgroup_generators": [element_to_json(g) for g in gens]}
-        counters = {"oracle_evaluations": instance.oracle.evaluations}
-    elif isinstance(instance, HiddenCosetInstance):
+        return {"subgroup_generators": [element_to_json(g) for g in gens]}
+    if isinstance(instance, HiddenCosetInstance):
         gens, shift = brute_coset_solve(instance, cap)
-        outputs = {"subgroup_generators": [element_to_json(g) for g in gens],
-                   "shift": element_to_json(shift)}
-        counters = {"oracle_evaluations":
-                    instance.f1.evaluations + instance.f2.evaluations}
-    elif isinstance(instance, GhshInstance):
-        shift = brute_ghsh_solve(instance, cap)
-        outputs = {"shift": element_to_json(shift)}
-        counters = {"oracle_evaluations":
-                    sum(f.evaluations for f in instance.functions)}
-    elif isinstance(instance, OrbitCosetInstance):
+        return {"subgroup_generators": [element_to_json(g) for g in gens],
+                "shift": element_to_json(shift)}
+    if isinstance(instance, GhshInstance):
+        return {"shift": element_to_json(brute_ghsh_solve(instance, cap))}
+    if isinstance(instance, OrbitCosetInstance):
         shift, stab = brute_orbit_solve(instance, cap)
-        outputs = {"disjoint": shift is None,
-                   "shift": None if shift is None else element_to_json(shift),
-                   "stabilizer_generators": [element_to_json(g) for g in stab]}
-        counters = {}
-    else:
-        raise InputError("unsolvable instance kind")
-    return outputs, counters
+        return {"disjoint": shift is None,
+                "shift": None if shift is None else element_to_json(shift),
+                "stabilizer_generators": [element_to_json(g) for g in stab]}
+    raise InputError("unsolvable instance kind")
 
 
 @main.command("search-via-decision")
@@ -461,60 +458,41 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
     started = time.monotonic()
     cap, seed = ctx.obj["cap"], ctx.obj["seed"]
     data, instance = _load_and_verify(path, cap)
-    querylog = None
+    bug = parse_bug_spec(oracle_text, seed)
     try:
-        bug = parse_bug_spec(oracle_text, seed)
         if isinstance(instance, HspInstance):
             ident = instance.group.identity
             if isinstance(ident, DihedralElement):
                 with _input_errors():
                     smooth_factorize(ident.rotations, smooth_bound)
-                oracle = BruteForceDihedralOracle(cap)
-                oracle = oracle if bug is None else wrap_buggy(oracle, bug)
-                residue = dihedral_search_via_decision(ident.rotations, smooth_bound,
-                                                       instance, oracle)
-                outputs = {"shift_exponent": residue}
-                if emit_querylog:
-                    querylog = [{"index": list(e.index)} for e in oracle.call_log]
-                counters = {"decision_queries": oracle.calls,
-                            "oracle_evaluations": instance.oracle.evaluations}
+                oracle = _program(BruteForceDihedralOracle(cap), bug)
+                outputs = {"shift_exponent": dihedral_search_via_decision(
+                    ident.rotations, smooth_bound, instance, oracle)}
             else:
                 if not isinstance(ident, Permutation):
                     raise InputError("hidden subgroup search runs over permutation "
                                      "and dihedral groups")
-                oracle = parse_program(oracle_text, "decision", cap, seed)
+                oracle = _program(BruteForceDecisionOracle(cap), bug)
                 found = hsp_search_via_decision(instance, oracle, cap)
                 outputs = {"found": None if found is None else element_to_json(found)}
-                if emit_querylog:
-                    querylog = [{"index": list(e.index)} for e in oracle.call_log]
-                counters = {"decision_queries": oracle.calls,
-                            "oracle_evaluations": instance.oracle.evaluations}
         elif isinstance(instance, HiddenCosetInstance):
             if instance.planted_subgroup:
                 raise InputError(
                     "shift search needs injective functions; plant with an empty subgroup")
             if not isinstance(instance.group.identity, Permutation):
                 raise InputError("shift search runs over permutation groups")
-            oracle = BruteForceShiftOracle(cap)
-            oracle = oracle if bug is None else wrap_buggy(oracle, bug)
-            found = hsh_search_via_decision(instance.group, instance.f1, instance.f2,
-                                            oracle)
-            outputs = {"shift": element_to_json(found)}
-            if emit_querylog:
-                querylog = [{"index": list(e.index)} for e in oracle.call_log]
-            counters = {"decision_queries": oracle.calls,
-                        "oracle_evaluations":
-                            instance.f1.evaluations + instance.f2.evaluations}
+            oracle = _program(BruteForceShiftOracle(cap), bug)
+            outputs = {"shift": element_to_json(hsh_search_via_decision(
+                instance.group, instance.f1, instance.f2, oracle))}
         else:
             raise InputError("search-via-decision expects an hsp, dihedral, or "
                              "hidden-shift instance")
     except (OracleInconsistentError, NoShiftError) as exc:
         raise click.ClickException(f"search failed: {exc}")
-    except ExceedsCapError as exc:
-        raise InputError(str(exc))
-    if querylog is not None:
-        outputs["querylog"] = querylog
-    _emit_report(ctx, outputs, counters, _digest(data), started)
+    if emit_querylog:
+        outputs["querylog"] = [{"index": list(e.index)} for e in oracle.call_log]
+    _emit_report(ctx, outputs, {"decision_queries": oracle.calls, **_counters(instance)},
+                 _digest(data), started)
 
 
 @main.command("check")
@@ -544,10 +522,7 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
     for run in range(runs):
         program = parse_program(program_text, flavor, cap, seed + run)
         checker = checker_hspD if flavor == "decision" else checker_hsp
-        try:
-            verdict = checker(program, instance, k, seed=seed + run, cap=cap)
-        except ExceedsCapError as exc:
-            raise InputError(str(exc))
+        verdict = checker(program, instance, k, seed=seed + run, cap=cap)
         counts[verdict.verdict] += 1
         per_run.append({
             "verdict": verdict.verdict,

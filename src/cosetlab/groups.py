@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
 from .perms import ExceedsCapError, Permutation, _perm, compose
@@ -334,7 +334,6 @@ def _element_from_json(data) -> GroupElement:
 DEFAULT_CAP = 100_000
 
 
-@dataclass
 class FiniteGroup:
     """A finite group presented by generators over one element shape.
 
@@ -345,25 +344,18 @@ class FiniteGroup:
     list may be needlessly large).
     """
 
-    generators: tuple[GroupElement, ...]
-    identity: GroupElement
-    name: str = ""
-    elements_hint: Callable[[], Iterable[GroupElement]] | None = None
-    known_order: int | None = None
-    _elements: list[GroupElement] | None = field(default=None, repr=False)
-    _members: frozenset | None = field(default=None, repr=False)
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
-
     def __init__(self, generators: Iterable[GroupElement], identity: GroupElement,
-                 name: str = "", elements_hint=None, known_order: int | None = None):
-        self.generators = tuple(generators)
+                 name: str = "",
+                 elements_hint: Callable[[], Iterable[GroupElement]] | None = None,
+                 known_order: int | None = None):
+        self.generators: tuple[GroupElement, ...] = tuple(generators)
         self.identity = identity
         self.name = name
         self.elements_hint = elements_hint
         self.known_order = known_order
-        self._elements = None
-        self._members = None
-        self._derived = {}
+        self._elements: list[GroupElement] | None = None
+        self._members: frozenset | None = None
+        self._derived: dict = {}
 
     def derived(self, key, build: Callable[[], object]):
         """A structure other modules derive from this group (a search plan's

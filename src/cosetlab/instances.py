@@ -108,9 +108,6 @@ class HspInstance:
         self.planted_subgroup = planted_subgroup
         self._kernel: list[GroupElement] | None = None
 
-    def identity_label(self) -> Label:
-        return self.oracle.evaluate(self.group.identity)
-
     def kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
         """Elements sharing the identity's label; equals the hidden subgroup
         when the promise holds.  The oracle selects them from a stream of the
@@ -209,8 +206,10 @@ class GroupAction:
         ident = self.group.identity
         m = len(self.states)
         self._perms[ident] = tuple(range(m))
+        # Each element enters the frontier once and each of its generator
+        # edges either defines its target or is compared with it, so the
+        # pass checks the homomorphism property on every edge of the closure.
         frontier = [ident]
-        elems = [ident]
         while frontier:
             nxt = []
             for x in frontier:
@@ -222,19 +221,11 @@ class GroupAction:
                     if y not in self._perms:
                         self._perms[y] = py
                         nxt.append(y)
-                        elems.append(y)
                         if len(self._perms) > cap:
                             raise ExceedsCapError(f"action closure exceeds cap {cap}")
                     elif self._perms[y] != py:
                         raise ValueError("generator table does not extend to a group action")
             frontier = nxt
-        # homomorphism property on the closure, generator by generator
-        for x in elems:
-            px = self._perms[x]
-            for g, row in zip(self.group.generators, self.generator_images):
-                expected = tuple(px[row[s]] for s in range(m))
-                if self._perms[group_op(x, g)] != expected:
-                    raise ValueError("generator table does not extend to a group action")
 
     def act(self, x: GroupElement, state: int) -> int:
         perm = self._perms.get(x)

@@ -19,7 +19,7 @@ from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, WreathElement,
                      close_under_op, element_key, element_pow, group_op, invert,
                      reduce_generators, wreath_embed, wreath_group, wreath_unembed)
 from .instances import (GhshInstance, HiddenCosetInstance, HspInstance, Label,
-                        OracleFunction, OrbitCosetInstance, Side)
+                        OracleFunction, OrbitCosetInstance, Side, instance_from_json)
 from .perms import Permutation
 
 
@@ -57,7 +57,6 @@ def reduced_instance_to_json(source_json: dict) -> dict:
 
 def instance_from_json_any(data: dict, cap: int = DEFAULT_CAP):
     """Rebuild a planted instance, re-applying a recorded construction if any."""
-    from .instances import instance_from_json
     if "construction" in data:
         source = instance_from_json(data["construction"]["source"], cap)
         return reduce_instance(source)
@@ -142,8 +141,8 @@ def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
     return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=planted)
 
 
-def recover_coset_solution(k_gens: Sequence[WreathElement],
-                           group: FiniteGroup) -> tuple[list[GroupElement], GroupElement]:
+def recover_coset_solution(k_gens: Sequence[WreathElement]
+                           ) -> tuple[list[GroupElement], GroupElement]:
     """Read (subgroup generators, shift) back off generators of the hidden
     subgroup of a paired-coset instance.
 
@@ -272,17 +271,16 @@ class Constraint:
 
 @dataclass(frozen=True)
 class GammaSetStabilizer(Constraint):
-    """Setwise stabilizer of doubled points (row, column), columns 1-based.
+    """Setwise stabilizer of doubled points (row, column), columns 1-based,
+    tested on two-slot wreath elements over permutations.
 
-    Accepts two-slot wreath elements over permutations, or plain permutations
-    over the flattened 2n points.  The pair set is compiled at construction.
-    A wreath element with shift t sends (r, c) to row ``slots[d].images[r-1]``
-    of column d + 1, where d = (c - 1 + t) mod 2; so for each shift the test is
-    one slot condition ``(d, r - 1, allowed rows of column d + 1)`` per pair.
-    A flat permutation must send each point of the flattened set into it.
-    The action is a bijection, so mapping the set into itself is mapping it
-    onto itself, and the first condition that fails decides.  ``contains``
-    is the compiled test.
+    The pair set is compiled at construction.  A wreath element with shift t
+    sends (r, c) to row ``slots[d].images[r-1]`` of column d + 1, where
+    d = (c - 1 + t) mod 2; so for each shift the test is one slot condition
+    ``(d, r - 1, allowed rows of column d + 1)`` per pair.  The action is a
+    bijection, so mapping the set into itself is mapping it onto itself, and
+    the first condition that fails decides.  ``contains`` is the compiled
+    test; it raises TypeError on anything but a wreath element.
     """
 
     rows: int
@@ -300,34 +298,24 @@ class GammaSetStabilizer(Constraint):
             for t in (0, 1):
                 d = (c - 1 + t) % 2
                 slot_conditions[t].append((d, r - 1, allowed[d]))
-        flat = frozenset(r + (c - 1) * self.rows for r, c in pairs)
-        conditions = (tuple(slot_conditions[0]), tuple(slot_conditions[1]),
-                      tuple((p - 1, flat) for p in sorted(flat)))
+        conditions = (tuple(slot_conditions[0]), tuple(slot_conditions[1]))
         object.__setattr__(self, "_conditions", conditions)
         object.__setattr__(self, "contains", _doubled_point_test(*conditions))
 
 
-def _doubled_point_test(shift0: tuple, shift1: tuple, flat: tuple
-                        ) -> Callable[[GroupElement], bool]:
+def _doubled_point_test(shift0: tuple, shift1: tuple) -> Callable[[GroupElement], bool]:
     """One predicate over compiled doubled-point conditions: the slot
-    conditions of each shift for wreath elements, the point conditions for
-    flat permutations, tested in order until one fails."""
+    conditions of a wreath element's shift, tested in order until one fails."""
     by_shift = (shift0, shift1)
 
     def test(x: GroupElement) -> bool:
-        if isinstance(x, WreathElement):
-            slots = x.slots
-            for d, i, allowed in by_shift[x.shift]:
-                if slots[d].images[i] not in allowed:
-                    return False
-            return True
-        if isinstance(x, Permutation):
-            images = x.images
-            for i, allowed in flat:
-                if images[i] not in allowed:
-                    return False
-            return True
-        raise TypeError("doubled-point stabilizer needs wreath elements or permutations")
+        if not isinstance(x, WreathElement):
+            raise TypeError("doubled-point stabilizer needs wreath elements")
+        slots = x.slots
+        for d, i, allowed in by_shift[x.shift]:
+            if slots[d].images[i] not in allowed:
+                return False
+        return True
 
     return test
 
@@ -339,7 +327,7 @@ def _conjunction(constraints: tuple[Constraint, ...]) -> Callable[[GroupElement]
         return constraints[0].contains
     if constraints and all(isinstance(c, GammaSetStabilizer) for c in constraints):
         return _doubled_point_test(
-            *(sum((c._conditions[k] for c in constraints), ()) for k in range(3)))
+            *(sum((c._conditions[k] for c in constraints), ()) for k in range(2)))
     tests = tuple(c.contains for c in constraints)
 
     def accepts(g: GroupElement) -> bool:

@@ -296,8 +296,7 @@ class ShiftQuery:
 
 
 def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
-                            f2: OracleFunction, oracle: DecisionOracle,
-                            cap: int = DEFAULT_CAP) -> Permutation:
+                            f2: OracleFunction, oracle: DecisionOracle) -> Permutation:
     """Recover the translate u with f1(g) = f2(g u) by walking the chain.
 
     At each level, first ask whether the current pair already relates on the

@@ -114,7 +114,7 @@ def run_reductions_suite(max_degree: int, seed: int) -> list[PropertyResult]:
                 hc = plant_coset(group, gens, u)
                 reduced = hidden_coset_to_hsp(hc)
                 k_gens = brute_hsp_solve(reduced)
-                sub, u2 = recover_coset_solution(k_gens, group)
+                sub, u2 = recover_coset_solution(k_gens)
                 sub_elems = close_under_op(gens, group.identity)
                 want = {element_key(g) for g in sub_elems}
                 got = {element_key(g)
@@ -149,7 +149,6 @@ def run_reductions_suite(max_degree: int, seed: int) -> list[PropertyResult]:
 
 
 def run_search_suite(max_degree: int, seed: int) -> list[PropertyResult]:
-    rng = random.Random(seed)
     results = []
 
     cases = failures = 0

@@ -79,6 +79,23 @@ PIPELINES = [
      [S3_C2, ["--seed", "12", "check", "--flavor", "search",
               "--program", "buggy:flip:0.3", "--k", "3", "--runs", "3"]],
      ["93d15b239c30e4be", "fd337a8bce82257b"]),
+    ("z5-shift-chain",
+     [["plant", "ghsh", "--group", "z5", "--shift", "2", "--copies", "3"],
+      ["reduce"], ["solve"]],
+     ["3b6edc3a4bafdb7a", "51a05a71c450f4bd", "bb4e9fdf675e848f"]),
+    ("cyclic4-orbit-coset",
+     [["plant", "orbit-coset", "--action", "cyclic:4", "--phi1", "1", "--shift", "2"],
+      ["reduce"], ["solve"]],
+     ["9219fe79a3648070", "6e839f5baa126602", "f3137d7acac5dcc3"]),
+    ("two-orbit-disjoint",
+     [["plant", "orbit-coset", "--action", "two-orbit:6:2:3", "--phi1", "1",
+       "--shift", "none"],
+      ["solve"]],
+     ["627c72e6d5db3b7f", "86533eeab9f51bec"]),
+    ("s3-coset-solve",
+     [["plant", "coset", "--group", "s3", "--subgroup", "(1 2)", "--shift", "(1 3)"],
+      ["solve"]],
+     ["1da3465ca35ad5f6", "2e8cdf7865f502ee"]),
 ]
 
 

@@ -22,15 +22,15 @@ from .instances import (GhshInstance, GroupAction, HiddenCosetInstance, HspInsta
                         plant_hidden_shift, plant_hsp, plant_orbit_coset,
                         verify_promise)
 from .reductions import (Constraint, GammaSetStabilizer, InvalidKGeneratorsError,
-                         StructuredHspInstance, embed_wreath_instance, ghsh_to_hsp,
-                         hidden_coset_to_hsp, orbit_coset_to_hsp, paired_oracle,
+                         PairedOracle, StructuredHspInstance, embed_wreath_instance,
+                         ghsh_to_hsp, hidden_coset_to_hsp, orbit_coset_to_hsp,
                          recover_coset_solution, recover_ghsh_functions,
                          recover_orbit_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle,
                               DihedralDecisionOracle, DihedralSubgroupQuery,
                               NoShiftError, NotSmoothError, OracleInconsistentError,
                               QueryBatch, QueryRecord, ShiftDecisionOracle,
-                              ShiftQuery, SmoothFactorization, crt_combine,
+                              ShiftQuery, crt_combine,
                               dihedral_search_via_decision, hsh_search_via_decision,
                               hsp_search_via_decision, smooth_factorize)
 from .checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,

@@ -23,9 +23,8 @@ from .instances import (GhshInstance, HiddenCosetInstance, HspInstance,
                         OracleFunction, OrbitCosetInstance, Side)
 from .perms import (Permutation, StabilizerChain, build_stabilizer_chain,
                     random_element)
-from .reductions import (InvalidKGeneratorsError, StructuredHspInstance,
-                         embed_wreath_group, embed_wreath_oracle, paired_oracle,
-                         recover_coset_solution)
+from .reductions import (InvalidKGeneratorsError, PairedOracle, StructuredHspInstance,
+                         embed_wreath_group, embed_wreath_oracle, recover_coset_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle, DihedralSubgroupQuery,
                               OracleInconsistentError, QueryRecord, ShiftQuery,
                               build_plan_skeleton, event_stamp, finish_hsp_search,
@@ -263,7 +262,7 @@ def _translated_instance(inst: HspInstance, rng: random.Random, chain: Stabilize
     f = inst.oracle
     f2 = OracleFunction(lambda g: f.evaluate(group_op(g, u_inv)),
                         description="translated labels")
-    paired = paired_oracle(f.evaluate, f2.evaluate, "paired coset functions")
+    paired = PairedOracle(f.evaluate, f2.evaluate, "paired coset functions")
     return u, HspInstance(flat_group, embed_wreath_oracle(paired, chain.degree), Side.LEFT)
 
 

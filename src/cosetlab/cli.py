@@ -28,11 +28,10 @@ from .instances import (GhshInstance, GroupAction, HiddenCosetInstance,
                         plant_coset, plant_ghsh, plant_hsp, plant_orbit_coset,
                         verify_promise)
 from .perms import ExceedsCapError, Permutation, parse_cycles
-from .reductions import instance_from_json_any, reduced_instance_to_json
+from .reductions import instance_from_json_any, reduce_instance, reduced_instance_to_json
 from .search_decision import (DihedralSubgroupQuery, NoShiftError,
                               OracleInconsistentError, dihedral_search_via_decision,
-                              hsh_search_via_decision, hsp_search_via_decision,
-                              smooth_factorize)
+                              hsh_search_via_decision, hsp_search_via_decision)
 from .selftest import MAX_DEGREE, MIN_DEGREE, SUITES, run_suites
 
 
@@ -265,15 +264,14 @@ def _digest(data: dict) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _emit_report(ctx, outputs: dict, counters: dict, digest: str | None,
-                 started: float) -> None:
+def _emit_report(ctx, outputs: dict, counters: dict, digest: str | None) -> None:
     report = {
         "command": ctx.obj["argv"],
         "seed": ctx.obj["seed"],
         "instance_digest": digest,
         "outputs": outputs,
         "counters": counters,
-        "elapsed_s": round(time.monotonic() - started, 6),
+        "elapsed_s": round(time.monotonic() - ctx.obj["started"], 6),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
 
@@ -309,12 +307,11 @@ def _verified(inst, cap):
     return inst
 
 
-def _emit_planted(ctx, inst, started: float, **outputs) -> None:
+def _emit_planted(ctx, inst, **outputs) -> None:
     """The report of a plant command: the instance's JSON, any further
     outputs, and the instance's counters."""
     data = instance_to_json(inst)
-    _emit_report(ctx, {"instance": data, **outputs}, _counters(inst), _digest(data),
-                 started)
+    _emit_report(ctx, {"instance": data, **outputs}, _counters(inst), _digest(data))
 
 
 @click.group(cls=_JsonUsageGroup)
@@ -323,7 +320,8 @@ def _emit_planted(ctx, inst, started: float, **outputs) -> None:
 @click.pass_context
 def main(ctx, seed, cap):
     """Desk-scale hidden-structure workbench over small finite groups."""
-    ctx.obj = {"seed": seed, "cap": cap, "argv": ctx.meta["cosetlab.argv"]}
+    ctx.obj = {"seed": seed, "cap": cap, "argv": ctx.meta["cosetlab.argv"],
+               "started": time.monotonic()}
 
 
 @main.group()
@@ -337,14 +335,13 @@ def plant():
 @click.option("--side", type=click.Choice(["left", "right"]), default="left")
 @click.pass_context
 def plant_hsp_cmd(ctx, group_text, subgroup_text, side):
-    started = time.monotonic()
     cap = ctx.obj["cap"]
     with _input_errors():
         group = parse_group(group_text)
         gens = parse_elements(subgroup_text, group)
         inst = _verified(plant_hsp(group, gens, Side(side), cap), cap)
         labels = {inst.oracle.evaluate(g) for g in group.elements(cap)}
-    _emit_planted(ctx, inst, started, distinct_labels=len(labels))
+    _emit_planted(ctx, inst, distinct_labels=len(labels))
 
 
 @plant.command("coset")
@@ -353,14 +350,13 @@ def plant_hsp_cmd(ctx, group_text, subgroup_text, side):
 @click.option("--shift", "shift_text", required=True)
 @click.pass_context
 def plant_coset_cmd(ctx, group_text, subgroup_text, shift_text):
-    started = time.monotonic()
     cap = ctx.obj["cap"]
     with _input_errors():
         group = parse_group(group_text)
         gens = parse_elements(subgroup_text, group)
         shift = parse_element(shift_text, group)
         inst = _verified(plant_coset(group, gens, shift, cap), cap)
-    _emit_planted(ctx, inst, started)
+    _emit_planted(ctx, inst)
 
 
 @plant.command("ghsh")
@@ -369,13 +365,12 @@ def plant_coset_cmd(ctx, group_text, subgroup_text, shift_text):
 @click.option("--copies", type=int, default=2)
 @click.pass_context
 def plant_ghsh_cmd(ctx, group_text, shift_text, copies):
-    started = time.monotonic()
     cap = ctx.obj["cap"]
     with _input_errors():
         group = parse_group(group_text)
         shift = parse_element(shift_text, group)
         inst = _verified(plant_ghsh(group, shift, copies, cap), cap)
-    _emit_planted(ctx, inst, started)
+    _emit_planted(ctx, inst)
 
 
 @plant.command("orbit-coset")
@@ -385,14 +380,13 @@ def plant_ghsh_cmd(ctx, group_text, shift_text, copies):
               help="Element text, or 'none' for a disjoint-orbit instance.")
 @click.pass_context
 def plant_orbit_cmd(ctx, action_text, phi1, shift_text):
-    started = time.monotonic()
     cap = ctx.obj["cap"]
     with _input_errors():
         action = parse_action(action_text, cap)
         shift = (None if shift_text.strip().lower() == "none"
                  else parse_element(shift_text, action.group))
         inst = _verified(plant_orbit_coset(action, phi1, shift), cap)
-    _emit_planted(ctx, inst, started)
+    _emit_planted(ctx, inst)
 
 
 @main.command("reduce")
@@ -400,19 +394,18 @@ def plant_orbit_cmd(ctx, action_text, phi1, shift_text):
 @click.pass_context
 def reduce_cmd(ctx, path):
     """Carry a coset / shift-chain / orbit instance into hidden-subgroup form."""
-    started = time.monotonic()
     cap = ctx.obj["cap"]
-    data, _ = _load_and_verify(path, cap)
+    data, instance = _load_and_verify(path, cap)
     with _input_errors():
         reduced_json = reduced_instance_to_json(data)
-    reduced = instance_from_json_any(reduced_json, cap)
+    reduced = reduce_instance(instance)
     if not verify_promise(reduced, cap):
         raise click.ClickException("reduced instance failed its promise")
     _emit_report(ctx, {"instance": reduced_json,
                        "provenance": reduced_json["construction"]["via"],
                        "hidden_subgroup_generators":
                            [element_to_json(g) for g in (reduced.planted_subgroup or ())]},
-                 _counters(reduced), _digest(reduced_json), started)
+                 _counters(reduced), _digest(reduced_json))
 
 
 @main.command("solve")
@@ -420,11 +413,10 @@ def reduce_cmd(ctx, path):
 @click.pass_context
 def solve_cmd(ctx, path):
     """Brute-force reference solution of a planted instance."""
-    started = time.monotonic()
     cap = ctx.obj["cap"]
     data, instance = _load_and_verify(path, cap)
     outputs = _solve(instance, cap)
-    _emit_report(ctx, outputs, _counters(instance), _digest(data), started)
+    _emit_report(ctx, outputs, _counters(instance), _digest(data))
 
 
 def _solve(instance, cap) -> dict:
@@ -455,7 +447,6 @@ def _solve(instance, cap) -> dict:
 @click.pass_context
 def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
     """Solve the search problem using only a decision oracle."""
-    started = time.monotonic()
     cap, seed = ctx.obj["cap"], ctx.obj["seed"]
     data, instance = _load_and_verify(path, cap)
     bug = parse_bug_spec(oracle_text, seed)
@@ -463,11 +454,10 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
         if isinstance(instance, HspInstance):
             ident = instance.group.identity
             if isinstance(ident, DihedralElement):
-                with _input_errors():
-                    smooth_factorize(ident.rotations, smooth_bound)
                 oracle = _program(BruteForceDihedralOracle(cap), bug)
-                outputs = {"shift_exponent": dihedral_search_via_decision(
-                    ident.rotations, smooth_bound, instance, oracle)}
+                with _input_errors():  # an order that is not smooth
+                    outputs = {"shift_exponent": dihedral_search_via_decision(
+                        ident.rotations, smooth_bound, instance, oracle)}
             else:
                 if not isinstance(ident, Permutation):
                     raise InputError("hidden subgroup search runs over permutation "
@@ -492,7 +482,7 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
     if emit_querylog:
         outputs["querylog"] = [{"index": list(e.index)} for e in oracle.call_log]
     _emit_report(ctx, outputs, {"decision_queries": oracle.calls, **_counters(instance)},
-                 _digest(data), started)
+                 _digest(data))
 
 
 @main.command("check")
@@ -504,7 +494,6 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
 @click.pass_context
 def check_cmd(ctx, path, program_text, flavor, k, runs):
     """Certify a program's answer on this instance; repeat --runs times."""
-    started = time.monotonic()
     cap, seed = ctx.obj["cap"], ctx.obj["seed"]
     if k < 1:
         raise InputError(f"--k must be at least 1, got {k}")
@@ -535,7 +524,7 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
                "verdict_counts": counts, "runs": per_run}
     _emit_report(ctx, outputs,
                  {"oracle_calls": sum(r["oracle_calls"] for r in per_run)},
-                 _digest(data), started)
+                 _digest(data))
 
 
 @main.command("selftest")
@@ -545,7 +534,6 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
 @click.pass_context
 def selftest_cmd(ctx, suites, max_degree):
     """Run the built-in property sweeps and report pass counts."""
-    started = time.monotonic()
     if max_degree < MIN_DEGREE:
         raise InputError(f"--max-degree must be at least {MIN_DEGREE}, got {max_degree}")
     if max_degree > MAX_DEGREE:
@@ -559,7 +547,7 @@ def selftest_cmd(ctx, suites, max_degree):
                         for r in rows]}
         for name, rows in results.items()]}
     failures = sum(r.failures for rows in results.values() for r in rows)
-    _emit_report(ctx, outputs, {"total_failures": failures}, None, started)
+    _emit_report(ctx, outputs, {"total_failures": failures}, None)
     if failures:
         _log(f"{failures} property failures")
         raise SystemExit(1)

@@ -49,8 +49,6 @@ class OracleFunction:
         self._count += 1
         return self._fn(g)
 
-    __call__ = evaluate
-
     def select(self, elements: Iterable[GroupElement], label: Label) -> list[GroupElement]:
         """The elements labeled ``label``, in stream order.  Evaluates every
         element once, so the count advances by one per element tested;
@@ -185,6 +183,8 @@ class GroupAction:
     ``generator_images[k][s]`` is the state index reached from state ``s``
     under generator ``k``.  The action of arbitrary elements is derived by
     breadth-first extension and checked to be a homomorphism on the closure.
+    ``cap`` bounds that closure and every enumeration of the group made for
+    the action.
     """
 
     def __init__(self, group: FiniteGroup, states: tuple[str, ...],
@@ -199,6 +199,7 @@ class GroupAction:
         self.group = group
         self.states = states
         self.generator_images = generator_images
+        self.cap = cap
         self._perms: dict = {}
         self._build(cap)
 
@@ -237,10 +238,11 @@ class GroupAction:
         return {perm[state] for perm in self._perms.values()}
 
     def stabilizer_elements(self, state: int) -> list[GroupElement]:
-        return [g for g in self.group.elements() if self.act(g, state) == state]
+        return [g for g in self.group.elements(self.cap) if self.act(g, state) == state]
 
     def stabilizer_generators(self, state: int) -> list[GroupElement]:
-        return reduce_generators(self.stabilizer_elements(state), self.group.identity)
+        return reduce_generators(self.stabilizer_elements(state), self.group.identity,
+                                 self.cap)
 
 
 class NoDisjointOrbitError(ValueError):

@@ -68,7 +68,9 @@ def instance_from_json_any(data: dict, cap: int = DEFAULT_CAP):
 
 class PairedOracle(OracleFunction):
     """Two functions paired over the slots of two-slot wreath elements:
-    (f1(a), f2(b)) on ((a, b), 0) and (f2(b), f1(a)) on ((a, b), 1).
+    (f1(a), f2(b)) on ((a, b), 0) and (f2(b), f1(a)) on ((a, b), 1).  Every
+    pairing is built this way: the hidden-coset and orbit-coset reductions,
+    the checker trials and each level of the search-to-decision plan.
 
     ``select`` tests a pair label slot by slot, in label order, and computes
     the second slot's label only when the first one matches; it still tests
@@ -110,12 +112,6 @@ class PairedOracle(OracleFunction):
         return kept
 
 
-# ``paired_oracle(f1, f2, description)`` is how every pairing is built: the
-# hidden-coset and orbit-coset reductions and each level of the
-# search-to-decision plan.
-paired_oracle = PairedOracle
-
-
 def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
     """Pair the two functions over the two-slot wreath product.
 
@@ -137,7 +133,7 @@ def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
         gens.append(WreathElement((u_inv, u), 1))
         planted = tuple(gens)
 
-    oracle = paired_oracle(hc.f1.evaluate, hc.f2.evaluate, "paired coset functions")
+    oracle = PairedOracle(hc.f1.evaluate, hc.f2.evaluate, "paired coset functions")
     return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=planted)
 
 
@@ -233,13 +229,13 @@ def orbit_coset_to_hsp(oc: OrbitCosetInstance) -> HspInstance:
         gens.append(WreathElement((s, e), 0))
     for s in act.stabilizer_generators(phi1):
         gens.append(WreathElement((e, s), 0))
-    mapping = [g for g in group.elements() if act.act(g, phi1) == phi0]
+    mapping = [g for g in group.elements(act.cap) if act.act(g, phi1) == phi0]
     if mapping:
         u = min(mapping, key=element_key)
         gens.append(WreathElement((invert(u), u), 1))
 
-    oracle = paired_oracle(lambda a: act.states[act.act(a, phi0)],
-                           lambda b: act.states[act.act(b, phi1)], "paired orbit maps")
+    oracle = PairedOracle(lambda a: act.states[act.act(a, phi0)],
+                          lambda b: act.states[act.act(b, phi1)], "paired orbit maps")
     return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=tuple(gens))
 
 
@@ -365,15 +361,11 @@ class StructuredHspInstance:
     def group(self) -> FiniteGroup:
         return self.base.group
 
-    def diagonal_kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
-        """Base-kernel elements satisfying every constraint (the diagonal,
-        read off its first coordinate)."""
-        return list(filter(self.accepts, self.base.kernel(cap)))
-
     def kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
-        """``diagonal_kernel``, computed on the first call and cached."""
+        """Base-kernel elements satisfying every constraint (the diagonal,
+        read off its first coordinate); computed on the first call and cached."""
         if self._kernel is None:
-            self._kernel = self.diagonal_kernel(cap)
+            self._kernel = list(filter(self.accepts, self.base.kernel(cap)))
         return self._kernel
 
 

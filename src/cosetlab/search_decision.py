@@ -19,7 +19,7 @@ from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, GroupElement,
                      dihedral_subgroup, wreath_group)
 from .instances import HspInstance, Label, OracleFunction, Side
 from .perms import Permutation, StabilizerChain, build_stabilizer_chain
-from .reductions import GammaSetStabilizer, StructuredHspInstance, paired_oracle
+from .reductions import GammaSetStabilizer, PairedOracle, StructuredHspInstance
 
 # Monotonic stamps shared by query records, batch sealing and oracle call
 # logging: ``event_stamp()`` returns the next one.
@@ -205,7 +205,7 @@ def instantiate_plan(skeleton: PlanSkeleton, inst: HspInstance) -> HspSearchPlan
             hit = label_memo[id(g)] = (g, inst.oracle.evaluate(g))
         return hit[1]
 
-    paired = paired_oracle(slot_label, slot_label, f"paired {inst.oracle.description}")
+    paired = PairedOracle(slot_label, slot_label, f"paired {inst.oracle.description}")
     for wreath, prefixes in skeleton.levels:
         base = HspInstance(wreath, paired, Side.LEFT)
         for pair, queries in prefixes:
@@ -340,25 +340,9 @@ def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
 # -- dihedral search over smooth orders ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothFactorization:
-    """Prime factorization with every prime at most the bound."""
-
-    n: int
-    bound: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        total = 1
-        for p, e in self.factors:
-            total *= p ** e
-            if p > self.bound:
-                raise NotSmoothError(f"factor {p} exceeds bound {self.bound}")
-        if total != self.n:
-            raise ValueError("factors do not multiply back to n")
-
-
-def smooth_factorize(n: int, bound: int) -> SmoothFactorization:
+def smooth_factorize(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n as (p, e) pairs, p ascending; raises
+    NotSmoothError when a prime above the bound divides n."""
     if n < 2 or bound < 2:
         raise ValueError("need n >= 2 and bound >= 2")
     factors = []
@@ -374,7 +358,7 @@ def smooth_factorize(n: int, bound: int) -> SmoothFactorization:
         p += 1
     if rest > 1:
         raise NotSmoothError(f"residual factor {rest} exceeds bound {bound}")
-    return SmoothFactorization(n, bound, tuple(factors))
+    return tuple(factors)
 
 
 def crt_combine(residues: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -420,12 +404,12 @@ def dihedral_search_via_decision(n: int, bound: int, inst: HspInstance,
     original function restricted to <r^(p^j), r^offset s>.  The residues
     combine by remaindering.  Total queries: sum of e_i * p_i.
     """
-    fact = smooth_factorize(n, bound)
+    factors = smooth_factorize(n, bound)
     ident = inst.group.identity
     if not isinstance(ident, DihedralElement) or ident.rotations != n:
         raise TypeError(f"expected an instance over the dihedral group of order {2 * n}")
     residues = []
-    for p, e in fact.factors:
+    for p, e in factors:
         known = 0
         for j in range(1, e + 1):
             step = p ** j

@@ -7,6 +7,7 @@ ground more exhaustively.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -30,10 +31,6 @@ class PropertyResult:
     cases: int
     failures: int
 
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
 
 def _random_perm(n: int, rng: random.Random) -> Permutation:
     images = list(range(1, n + 1))
@@ -41,16 +38,13 @@ def _random_perm(n: int, rng: random.Random) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _subgroups(group: FiniteGroup, pair_limit: int | None = None) -> list[tuple]:
+def _subgroups(group: FiniteGroup) -> list[tuple]:
     """Distinct subgroups as sorted element-key tuples, from one- and
     two-generator closures (enough for the groups used here)."""
     elems = group.elements()
     seen = set()
     out = []
-    pairs = [(a, b) for a in elems for b in elems]
-    if pair_limit is not None:
-        pairs = pairs[:pair_limit]
-    for a, b in pairs:
+    for a, b in itertools.product(elems, repeat=2):
         closure = close_under_op([a, b], group.identity)
         key = tuple(sorted(element_key(g) for g in closure))
         if key not in seen:

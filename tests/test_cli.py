@@ -6,6 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from cosetlab import instances
 from cosetlab.cli import main, parse_element, parse_group
 from cosetlab.groups import DihedralElement
 
@@ -142,6 +143,43 @@ def test_orbit_coset_plant_and_solve():
                             "--phi1", "0", "--shift", "none"]))
     result2 = run(["solve"], stdin=json.dumps(disjoint["outputs"]["instance"]))
     assert payload(result2)["outputs"]["disjoint"] is True
+
+
+def test_cap_above_the_default_reaches_orbit_stabilizers():
+    # Z_100002 has more elements than the default cap; the stabilizer and the
+    # mapping elements must be enumerated under the cap the action was given.
+    cap = ["--cap", "100002"]
+    planted = payload(run([*cap, "plant", "orbit-coset", "--action",
+                           "two-orbit:100002:2:3", "--phi1", "1", "--shift", "7"]))
+    result = run([*cap, "solve"], stdin=json.dumps(planted["outputs"]["instance"]))
+    assert result.exit_code == 0, result.output
+    out = payload(result)["outputs"]
+    # State 1 goes to state 0 under the odd rotations, least 1 (7 is one of
+    # them); the even rotations fix it.
+    assert out["disjoint"] is False
+    assert out["shift"]["value"] == 1
+    assert [g["value"] for g in out["stabilizer_generators"]] == [2]
+
+
+@pytest.mark.parametrize("planter, plant_args", [
+    ("plant_coset", ["coset", "--group", "s4", "--subgroup", "(1 2 3 4)",
+                     "--shift", "(1 2)"]),
+    ("plant_ghsh", ["ghsh", "--group", "s3", "--shift", "(1 2 3)", "--copies", "3"]),
+    ("plant_orbit_coset", ["orbit-coset", "--action", "two-orbit:6:2:3",
+                           "--phi1", "3", "--shift", "4"]),
+])
+def test_reduce_plants_its_source_once(planter, plant_args, monkeypatch):
+    instance = payload(run(["plant", *plant_args]))["outputs"]["instance"]
+    original = getattr(instances, planter)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(instances, planter, counted)
+    assert run(["reduce"], stdin=json.dumps(instance)).exit_code == 0
+    assert len(calls) == 1
 
 
 def test_deterministic_output_given_seed():

@@ -96,6 +96,34 @@ PIPELINES = [
      [["plant", "coset", "--group", "s3", "--subgroup", "(1 2)", "--shift", "(1 3)"],
       ["solve"]],
      ["1da3465ca35ad5f6", "2e8cdf7865f502ee"]),
+    ("s3-shift-chain-solve",
+     [["plant", "ghsh", "--group", "s3", "--shift", "(1 2 3)", "--copies", "3"], ["solve"]],
+     ["fc4feadc8a0188ef", "1cf64fd2d0939a73"]),
+    ("two-orbit-reduce",
+     [["plant", "orbit-coset", "--action", "two-orbit:6:2:3", "--phi1", "3",
+       "--shift", "4"],
+      ["reduce"], ["solve"]],
+     ["6e95e5fbb57e0d56", "f6687c74e4838fd3", "1076c3299a04bc75"]),
+    ("d12-dihedral-smooth-bound-3",
+     [["plant", "hsp", "--group", "d12", "--subgroup", "r5s"],
+      ["search-via-decision", "--smooth-bound", "3"]],
+     ["ab1a9e3f7ceacceb", "0408322f98d170b7"]),
+    ("check-decision-wrong-if-order-gt-6-seed-13",
+     [S3_C2, ["--seed", "13", "check", "--flavor", "decision",
+              "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
+     ["93d15b239c30e4be", "5945454cb46efb63"]),
+    ("check-decision-wrong-if-order-gt-6-seed-14",
+     [S3_C2, ["--seed", "14", "check", "--flavor", "decision",
+              "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
+     ["93d15b239c30e4be", "9144714c4ed088bb"]),
+    ("check-search-wrong-if-order-gt-6-seed-13",
+     [S3_C2, ["--seed", "13", "check", "--flavor", "search",
+              "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
+     ["93d15b239c30e4be", "70476c8ad58a50da"]),
+    ("check-search-wrong-if-order-gt-6-seed-14",
+     [S3_C2, ["--seed", "14", "check", "--flavor", "search",
+              "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
+     ["93d15b239c30e4be", "fc9ef51342633cdb"]),
 ]
 
 

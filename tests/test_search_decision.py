@@ -10,10 +10,10 @@ from cosetlab.groups import (DihedralElement, close_under_op, cyclic_group,
                              symmetric_group, wreath_group)
 from cosetlab.instances import Side, plant_coset, plant_hsp
 from cosetlab.perms import build_stabilizer_chain, parse_cycles
-from cosetlab.reductions import (GammaSetStabilizer, StructuredHspInstance,
-                                 embed_wreath_group, paired_oracle)
+from cosetlab.reductions import (GammaSetStabilizer, PairedOracle, StructuredHspInstance,
+                                 embed_wreath_group)
 from cosetlab.search_decision import (DecisionAnswer, NoShiftError, NotSmoothError,
-                                      OracleInconsistentError, SmoothFactorization,
+                                      OracleInconsistentError,
                                       build_hsp_search_plan, build_plan_skeleton,
                                       crt_combine, instantiate_plan,
                                       dihedral_search_via_decision,
@@ -272,7 +272,7 @@ def test_paired_select_matches_evaluate_and_compare():
         for stream in streams:
             slot_elements = list(dict.fromkeys(w.slots[1] for w in stream))
             f1, f2 = ({g: rng.randrange(3) for g in slot_elements} for _ in range(2))
-            _check_paired_select(paired_oracle(f1.__getitem__, f2.__getitem__, "random"),
+            _check_paired_select(PairedOracle(f1.__getitem__, f2.__getitem__, "random"),
                                  stream)
 
 
@@ -378,14 +378,12 @@ def test_shift_search_rejects_lying_oracle():
 
 
 def test_smooth_factorize():
-    assert smooth_factorize(12, 5).factors == ((2, 2), (3, 1))
-    assert smooth_factorize(60, 5).factors == ((2, 2), (3, 1), (5, 1))
+    assert smooth_factorize(12, 5) == ((2, 2), (3, 1))
+    assert smooth_factorize(60, 5) == ((2, 2), (3, 1), (5, 1))
     with pytest.raises(NotSmoothError):
         smooth_factorize(14, 5)
     with pytest.raises(ValueError):
         smooth_factorize(1, 5)
-    with pytest.raises(NotSmoothError):
-        SmoothFactorization(12, 2, ((2, 2), (3, 1)))
 
 
 def test_crt_combine():

@@ -27,8 +27,8 @@ from .reductions import (InvalidKGeneratorsError, PairedOracle, StructuredHspIns
                          embed_wreath_group, embed_wreath_oracle, recover_coset_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle, DihedralSubgroupQuery,
                               OracleInconsistentError, QueryRecord, ShiftQuery,
-                              build_plan_skeleton, event_stamp, finish_hsp_search,
-                              hsp_search_via_decision, instantiate_plan)
+                              build_hsp_search_plan, event_stamp, finish_hsp_search,
+                              hsp_search_via_decision)
 
 
 def trial_rng(master_seed: int, index: int) -> random.Random:
@@ -118,10 +118,10 @@ class BruteForceDihedralOracle(DecisionOracle):
 
 
 class BruteSearchProgram(DecisionOracle):
-    """A hidden-subgroup search program: instance -> (generators, no shift)."""
+    """A hidden-subgroup search program: instance -> subgroup generators."""
 
-    def _answer(self, inst: HspInstance):
-        return brute_hsp_solve(inst, self.cap), None
+    def _answer(self, inst: HspInstance) -> list[GroupElement]:
+        return brute_hsp_solve(inst, self.cap)
 
 
 # -- fault injection -------------------------------------------------------------------
@@ -135,7 +135,7 @@ class BugSpec:
     (probability ``flip_probability``, own seeded stream), and
     ``wrong_on_matching`` (answers flipped or mutated exactly where
     ``predicate`` matches the queried instance).  ``mutate`` applies to
-    search programs and rewrites the (generators, shift) answer; the default
+    search programs and rewrites the answered generator list; the default
     drops the last generator.
     """
 
@@ -157,9 +157,8 @@ class BugSpec:
             raise ValueError(f"flip probability {self.flip_probability} is outside [0, 1]")
 
 
-def _drop_last_generator(result):
-    gens, rep = result
-    return gens[:-1], rep
+def _drop_last_generator(gens):
+    return gens[:-1]
 
 
 def _fixed_answer(query, nontrivial: bool):
@@ -192,15 +191,15 @@ class BuggyProgram(DecisionOracle):
         spec = self.spec
         search = isinstance(query, HspInstance)
         if spec.mode == "always_trivial":
-            return ([], None) if search else _fixed_answer(query, False)
+            return [] if search else _fixed_answer(query, False)
         if spec.mode == "always_nontrivial" and not search:
             return _fixed_answer(query, True)
         honest = self.inner.answer(query)
         if spec.mode == "always_nontrivial":
-            if honest[0]:
+            if honest:
                 return honest
             fake = [g for g in query.group.generators if not g.is_identity()]
-            return fake[:1], None
+            return fake[:1]
         if spec.mode == "flip_with_prob":
             wrong = self._rng.random() < spec.flip_probability
         else:
@@ -275,9 +274,8 @@ def _require_left_permutation_instance(inst: HspInstance) -> int:
     return identity.degree
 
 
-def _translate_trials(inst: HspInstance, k: int, seed: int,
-                      cap: int) -> tuple[FiniteGroup, list[tuple]]:
-    """The flattened G wr Z_2 and k ``(t, u, flat instance)`` trials over it.
+def _translate_trials(inst: HspInstance, k: int, seed: int, cap: int) -> list[tuple]:
+    """k ``(t, u, flat instance)`` trials over one flattened G wr Z_2.
 
     G's chain (which drives the u draws) and the flattened group are built
     once; each trial builds only its translated, paired and flattened oracle.
@@ -285,9 +283,8 @@ def _translate_trials(inst: HspInstance, k: int, seed: int,
     n = inst.group.identity.degree
     chain = build_stabilizer_chain(inst.group.generators, n)
     flat_group = embed_wreath_group(wreath_group(inst.group, 2, cap), cap)
-    trials = [(t, *_translated_instance(inst, trial_rng(seed, t), chain, flat_group))
-              for t in range(k)]
-    return flat_group, trials
+    return [(t, *_translated_instance(inst, trial_rng(seed, t), chain, flat_group))
+            for t in range(k)]
 
 
 def _judge_trials(program: DecisionOracle, trials: list[tuple],
@@ -354,9 +351,9 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
                                f"recovered {got}, expected the planted swap")
         return TrialRecord(t, "translate trial", True)
 
-    flat_group, trials = _translate_trials(inst, k, seed, cap)
-    skeleton = build_plan_skeleton(flat_group, cap)
-    plans = [(t, u, instantiate_plan(skeleton, flat)) for t, u, flat in trials]
+    # The trials share one flattened group, which keeps its plan levels.
+    plans = [(t, u, build_hsp_search_plan(flat, cap))
+             for t, u, flat in _translate_trials(inst, k, seed, cap)]
     return _judge_trials(program, plans, judge, transcript, calls_before)
 
 
@@ -375,7 +372,7 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
     calls_before = program.calls
     transcript: list[TrialRecord] = []
 
-    claimed, _ = program.answer(inst)
+    claimed = program.answer(inst)
     base_label = inst.oracle.evaluate(inst.group.identity)
     members_ok = True
     detail = ""
@@ -394,7 +391,7 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
     claimed_closure = set(close_under_op(claimed, inst.group.identity, cap))
 
     def judge(t, u, flat):
-        claimed_emb, _ = program.answer(flat)
+        claimed_emb = program.answer(flat)
         try:
             k_gens = [wreath_unembed(p, n) for p in claimed_emb]
             sub_gens, u_prime = recover_coset_solution(k_gens)
@@ -409,5 +406,5 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
                                "recovered shift lies outside the claimed coset")
         return TrialRecord(t, "translate trial", True)
 
-    _, trials = _translate_trials(inst, k, seed, cap)
+    trials = _translate_trials(inst, k, seed, cap)
     return _judge_trials(program, trials, judge, transcript, calls_before)

@@ -20,9 +20,9 @@ from .checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
                        BruteForceShiftOracle, BruteSearchProgram, BugSpec,
                        brute_coset_solve, brute_ghsh_solve, brute_hsp_solve,
                        brute_orbit_solve, checker_hsp, checker_hspD, wrap_buggy)
-from .groups import (DihedralElement, FiniteGroup, cyclic_group, dihedral_group,
-                     element_from_json, element_to_json, symmetric_group,
-                     wreath_group)
+from .groups import (DihedralElement, FiniteGroup, close_under_op, cyclic_group,
+                     dihedral_group, element_from_json, element_to_json,
+                     symmetric_group, wreath_group)
 from .instances import (GhshInstance, GroupAction, HiddenCosetInstance,
                         HspInstance, OrbitCosetInstance, Side, instance_to_json,
                         plant_coset, plant_ghsh, plant_hsp, plant_orbit_coset,
@@ -35,43 +35,30 @@ from .search_decision import (DihedralSubgroupQuery, NoShiftError,
 from .selftest import MAX_DEGREE, MIN_DEGREE, SUITES, run_suites
 
 
+def _print_error(message: str) -> None:
+    """The machine-readable error object every exit-2 path prints on stdout."""
+    print(json.dumps({"error": message}))
+
+
 class InputError(click.ClickException):
     """Invalid input: exit 2, machine-readable error object on stdout."""
 
     exit_code = 2
 
     def show(self, file=None):
-        print(json.dumps({"error": self.format_message()}))
-        super().show(file)
-
-
-class UsageInputError(click.UsageError):
-    """A malformed command line: exit 2, the JSON error object on stdout, then
-    click's usage text on stderr."""
-
-    def show(self, file=None):
-        print(json.dumps({"error": self.format_message()}))
-        super().show(file)
-
-
-class MissingCommandError(click.exceptions.NoArgsIsHelpError):
-    """A group called without a subcommand: exit 2, the JSON error object on
-    stdout, then the group's help text on stderr."""
-
-    def show(self, file=None):
-        print(json.dumps({"error": f"{self.ctx.command_path}: missing command"}))
+        _print_error(self.format_message())
         super().show(file)
 
 
 class _JsonUsageGroup(click.Group):
     """The top-level group.  Click raises a usage error (a bad option value or
-    choice, a missing or unknown option or command) while it parses the
-    group's arguments or a subcommand's, which happens inside these two
-    calls; each such error is reported as a :class:`UsageInputError`, and a
-    bare group (``cosetlab``, ``cosetlab plant``) as a
-    :class:`MissingCommandError`.  An enumeration that outgrows ``--cap``
-    anywhere in a command is invalid input.  The arguments click was given
-    are kept in the context's ``meta`` for the report to echo."""
+    choice, a missing or unknown option or command, or a bare group such as
+    ``cosetlab`` or ``cosetlab plant``) while it parses the group's arguments
+    or a subcommand's, which happens inside these two calls; each such error
+    prints its JSON error object and goes on to click, which prints its own
+    text and exits 2.  An enumeration that outgrows ``--cap`` anywhere in a
+    command is invalid input.  The arguments click was given are kept in the
+    context's ``meta`` for the report to echo."""
 
     def make_context(self, info_name, args, parent=None, **extra):
         argv = list(args)
@@ -92,12 +79,12 @@ class _JsonUsageGroup(click.Group):
 def _usage_errors():
     try:
         yield
-    except (UsageInputError, MissingCommandError):
-        raise  # already reported
     except click.exceptions.NoArgsIsHelpError as exc:
-        raise MissingCommandError(exc.ctx) from exc
+        _print_error(f"{exc.ctx.command_path}: missing command")
+        raise
     except click.UsageError as exc:
-        raise UsageInputError(exc.format_message(), exc.ctx) from exc
+        _print_error(exc.format_message())
+        raise
 
 
 @contextlib.contextmanager
@@ -454,10 +441,14 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
         if isinstance(instance, HspInstance):
             ident = instance.group.identity
             if isinstance(ident, DihedralElement):
+                # _load_and_verify checked that the planted closure is the kernel.
+                hidden = close_under_op(instance.planted_subgroup, ident, cap)
+                if len(hidden) != 2 or not any(g.flip for g in hidden):
+                    raise InputError("dihedral search needs a hidden subgroup {id, r^a s}")
                 oracle = _program(BruteForceDihedralOracle(cap), bug)
                 with _input_errors():  # an order that is not smooth
                     outputs = {"shift_exponent": dihedral_search_via_decision(
-                        ident.rotations, smooth_bound, instance, oracle)}
+                        instance, smooth_bound, oracle)}
             else:
                 if not isinstance(ident, Permutation):
                     raise InputError("hidden subgroup search runs over permutation "

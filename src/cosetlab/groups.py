@@ -359,8 +359,10 @@ class FiniteGroup:
 
     def derived(self, key, build: Callable[[], object]):
         """A structure other modules derive from this group (a search plan's
-        skeleton, say): ``build()`` on the first call with ``key``, kept with
-        the group and returned by every later call."""
+        levels, say): ``build()`` on the first call with ``key``, kept with
+        the group and returned by every later call.  A structure kept here
+        must not refer back to the group, or the two form a reference cycle
+        that outlives the group's last user until the cyclic collector runs."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]

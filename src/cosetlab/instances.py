@@ -126,8 +126,6 @@ class HiddenCosetInstance:
     special case.
     """
 
-    shift_side = Side.RIGHT
-
     def __init__(self, group: FiniteGroup, f1: OracleFunction, f2: OracleFunction,
                  planted_subgroup: tuple[GroupElement, ...] | None = None,
                  planted_shift: GroupElement | None = None):
@@ -146,8 +144,6 @@ class HiddenCosetInstance:
 
 class GhshInstance:
     """n injective functions chained by a left shift: f_i(g) = f_{i+1}(u g)."""
-
-    shift_side = Side.LEFT
 
     def __init__(self, group: FiniteGroup, functions: tuple[OracleFunction, ...],
                  planted_shift: GroupElement | None = None):

@@ -12,7 +12,6 @@ base instance plus membership predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, WreathElement,
@@ -265,7 +264,6 @@ class Constraint:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class GammaSetStabilizer(Constraint):
     """Setwise stabilizer of doubled points (row, column), columns 1-based,
     tested on two-slot wreath elements over permutations.
@@ -279,24 +277,18 @@ class GammaSetStabilizer(Constraint):
     test; it raises TypeError on anything but a wreath element.
     """
 
-    rows: int
-    pairs: frozenset[tuple[int, int]]
-    _conditions: tuple = field(init=False, repr=False, compare=False)
-    contains: Callable[[GroupElement], bool] = field(init=False, repr=False,
-                                                     compare=False)
-
-    def __post_init__(self):
-        pairs = sorted(self.pairs)
-        allowed = (frozenset(r for r, c in pairs if c == 1),
-                   frozenset(r for r, c in pairs if c == 2))
+    def __init__(self, pairs: frozenset[tuple[int, int]]):
+        self.pairs = pairs
+        ordered = sorted(pairs)
+        allowed = (frozenset(r for r, c in ordered if c == 1),
+                   frozenset(r for r, c in ordered if c == 2))
         slot_conditions = ([], [])
-        for r, c in pairs:
+        for r, c in ordered:
             for t in (0, 1):
                 d = (c - 1 + t) % 2
                 slot_conditions[t].append((d, r - 1, allowed[d]))
-        conditions = (tuple(slot_conditions[0]), tuple(slot_conditions[1]))
-        object.__setattr__(self, "_conditions", conditions)
-        object.__setattr__(self, "contains", _doubled_point_test(*conditions))
+        self._conditions = (tuple(slot_conditions[0]), tuple(slot_conditions[1]))
+        self.contains = _doubled_point_test(*self._conditions)
 
 
 def _doubled_point_test(shift0: tuple, shift1: tuple) -> Callable[[GroupElement], bool]:

@@ -137,12 +137,10 @@ class HspSearchPlan:
     """A sealed-to-be query family for one search, plus what reconstruction needs."""
 
     instance: HspInstance
-    chain: StabilizerChain
     batch: QueryBatch
 
 
-@dataclass(frozen=True)
-class PlanSkeleton:
+def _plan_levels(group: FiniteGroup, cap: int) -> tuple:
     """The part of a truth-table plan that depends on the group alone.
 
     ``levels[i-1]`` is ``(wreath, prefixes)``: the pointwise stabilizer of
@@ -150,16 +148,8 @@ class PlanSkeleton:
     (i, j, j') in query order, where ``pair`` holds the (i, j) and (i, j')
     doubled-point stabilizers and ``queries`` the index tuple and (k, l)
     stabilizer of each query.  Stabilizers with equal pair sets are one
-    object.  :func:`instantiate_plan` joins a skeleton with an instance.
+    object.  Level n asks no query (no j > n), so the levels stop at n - 1.
     """
-
-    group: FiniteGroup
-    chain: StabilizerChain
-    levels: tuple
-
-
-def build_plan_skeleton(group: FiniteGroup, cap: int = DEFAULT_CAP) -> PlanSkeleton:
-    """Chain, level groups and constrained index tuples of a permutation group."""
     identity = group.identity
     if not isinstance(identity, Permutation):
         raise TypeError("search-to-decision runs over permutation groups")
@@ -169,10 +159,10 @@ def build_plan_skeleton(group: FiniteGroup, cap: int = DEFAULT_CAP) -> PlanSkele
             raise TypeError("search-to-decision runs over permutation groups")
     chain = build_stabilizer_chain(group.generators, n)
     # Every constraint stabilizes some {(a, 1), (b, 2)}: n^2 pair sets in all.
-    stabilizer = {(a, b): GammaSetStabilizer(n, frozenset({(a, 1), (b, 2)}))
+    stabilizer = {(a, b): GammaSetStabilizer(frozenset({(a, 1), (b, 2)}))
                   for a in range(1, n + 1) for b in range(1, n + 1)}
     levels = []
-    for i in range(1, n + 1):
+    for i in range(1, n):
         wreath = wreath_group(_chain_level_group(chain, i - 1), 2, cap)
         lasts = [(k, ell) for k in range(i, n + 1) for ell in range(i, n + 1)]
         prefixes = tuple(
@@ -180,18 +170,22 @@ def build_plan_skeleton(group: FiniteGroup, cap: int = DEFAULT_CAP) -> PlanSkele
              tuple([((i, j, j2, k, ell), stabilizer[k, ell]) for k, ell in lasts]))
             for j in range(i + 1, n + 1) for j2 in range(i + 1, n + 1))
         levels.append((wreath, prefixes))
-    return PlanSkeleton(group, chain, tuple(levels))
+    return tuple(levels)
 
 
-def instantiate_plan(skeleton: PlanSkeleton, inst: HspInstance) -> HspSearchPlan:
-    """The query records of one instance over the skeleton's group.
+def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearchPlan:
+    """Construct the full truth-table query family for a permutation instance.
 
-    Each level's base is the paired oracle over the level's wreath product,
-    and each query nests on the prefix instance of its (i, j, j'), so the
+    For each level i the base is the paired oracle over (pointwise stabilizer
+    of 1..i-1) wreath the slot swap, constrained by three doubled-point
+    setwise stabilizers indexed by (i, j), (i, j'), (k, l).  The group's
+    levels are built on its first search with ``cap`` and kept with the
+    group object, so every later search over it only joins its instance.
+    Each query nests on the prefix instance of its (i, j, j'), so the
     prefix's filtered kernel is computed once for all its (k, l).
     """
-    if inst.group is not skeleton.group:
-        raise ValueError("the instance is not over the skeleton's group")
+    group = inst.group
+    levels = group.derived(("plan levels", cap), lambda: _plan_levels(group, cap))
     batch = QueryBatch()
     label_memo: dict = {}
 
@@ -206,27 +200,13 @@ def instantiate_plan(skeleton: PlanSkeleton, inst: HspInstance) -> HspSearchPlan
         return hit[1]
 
     paired = PairedOracle(slot_label, slot_label, f"paired {inst.oracle.description}")
-    for wreath, prefixes in skeleton.levels:
+    for wreath, prefixes in levels:
         base = HspInstance(wreath, paired, Side.LEFT)
         for pair, queries in prefixes:
             prefix = StructuredHspInstance(base, pair)
             for index, last in queries:
                 batch.add(index, StructuredHspInstance(prefix, (last,)))
-    return HspSearchPlan(inst, skeleton.chain, batch)
-
-
-def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearchPlan:
-    """Construct the full truth-table query family for a permutation instance.
-
-    For each level i the base is the paired oracle over (pointwise stabilizer
-    of 1..i-1) wreath the slot swap, constrained by three doubled-point
-    setwise stabilizers indexed by (i, j), (i, j'), (k, l).  The group's
-    skeleton is built on its first search with ``cap`` and kept with the
-    group object, so every later search over it only joins its instance.
-    """
-    group = inst.group
-    skeleton = group.derived(("plan skeleton", cap), lambda: build_plan_skeleton(group, cap))
-    return instantiate_plan(skeleton, inst)
+    return HspSearchPlan(inst, batch)
 
 
 def reconstruct_from_answers(n: int, answers: dict) -> Permutation | None:
@@ -258,11 +238,10 @@ def reconstruct_from_answers(n: int, answers: dict) -> Permutation | None:
 
 
 def finish_hsp_search(plan: HspSearchPlan, answers: dict) -> Permutation | None:
-    n = plan.chain.degree
-    found = reconstruct_from_answers(n, answers)
+    inst = plan.instance
+    found = reconstruct_from_answers(inst.group.identity.degree, answers)
     if found is None:
         return None
-    inst = plan.instance
     if inst.oracle.evaluate(found) != inst.oracle.evaluate(inst.group.identity):
         raise OracleInconsistentError("assembled element does not share the identity label")
     return found
@@ -395,19 +374,21 @@ class DihedralSubgroupQuery:
         return dihedral_subgroup(ident.rotations, self.step, self.offset)
 
 
-def dihedral_search_via_decision(n: int, bound: int, inst: HspInstance,
+def dihedral_search_via_decision(inst: HspInstance, bound: int,
                                  oracle: DecisionOracle) -> int:
-    """Recover a from the hidden order-two subgroup {id, r^a s} of D_n.
+    """Recover a from the hidden order-two subgroup {id, r^a s} of the
+    instance's dihedral group D_n.
 
     For each prime power p^e dividing n, the residue of a mod p^j is learned
     one level at a time with exactly p queries per level, always reusing the
     original function restricted to <r^(p^j), r^offset s>.  The residues
     combine by remaindering.  Total queries: sum of e_i * p_i.
     """
-    factors = smooth_factorize(n, bound)
     ident = inst.group.identity
-    if not isinstance(ident, DihedralElement) or ident.rotations != n:
-        raise TypeError(f"expected an instance over the dihedral group of order {2 * n}")
+    if not isinstance(ident, DihedralElement):
+        raise TypeError("expected an instance over a dihedral group")
+    n = ident.rotations
+    factors = smooth_factorize(n, bound)
     residues = []
     for p, e in factors:
         known = 0

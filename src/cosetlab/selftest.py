@@ -176,7 +176,7 @@ def run_search_suite(max_degree: int, seed: int) -> list[PropertyResult]:
     for a in range(12):
         inst = plant_hsp(dihedral_group(12), (DihedralElement(12, a, 1),), Side.LEFT)
         oracle = BruteForceDihedralOracle()
-        got = dihedral_search_via_decision(12, 5, inst, oracle)
+        got = dihedral_search_via_decision(inst, 5, oracle)
         cases += 1
         if got != a or oracle.calls != 7:
             failures += 1

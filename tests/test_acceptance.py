@@ -214,7 +214,7 @@ def test_criterion_6_smooth_dihedral_search():
         for a in range(n):
             inst = plant_hsp(group, (DihedralElement(n, a, 1),), Side.LEFT)
             oracle = BruteForceDihedralOracle()
-            got = dihedral_search_via_decision(n, bound, inst, oracle)
+            got = dihedral_search_via_decision(inst, bound, oracle)
             assert got == a
             assert oracle.calls == expected_queries[n]
             cases += 1

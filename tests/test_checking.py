@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -195,9 +197,8 @@ def test_checker_hsp_rejects_proper_subgroup():
     double = (parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4))
     inst = plant_hsp(s4, double, Side.LEFT)
 
-    def drop_on_doubled(result):
-        gens, rep = result
-        return gens[:1], rep
+    def drop_on_doubled(gens):
+        return gens[:1]
 
     program = wrap_buggy(
         BruteSearchProgram(),
@@ -213,8 +214,7 @@ def test_checker_hsp_rejects_shift_outside_coset():
     inst = plant_hsp(s3, (swap,), Side.LEFT)
     outside = parse_cycles("(1 2 3)", 3)  # not in <(1 2)>
 
-    def fake_shift(result):
-        gens, rep = result
+    def fake_shift(gens):
         out = []
         for p in gens:
             w = wreath_unembed(p, 3)
@@ -222,7 +222,7 @@ def test_checker_hsp_rejects_shift_outside_coset():
                 out.append(wreath_embed(WreathElement((invert(outside), outside), 1)))
             else:
                 out.append(p)
-        return out, rep
+        return out
 
     program = wrap_buggy(
         BruteSearchProgram(),
@@ -322,6 +322,34 @@ def test_translate_trials_build_each_chain_once(chain_builds):
     chain_builds.clear()
     assert checker_hsp(BruteSearchProgram(), inst, k=7, seed=0).verdict == "CORRECT"
     assert [args[1] for args in chain_builds] == [3]
+
+
+def test_checker_call_frees_its_flattened_group(monkeypatch):
+    # The flattened G wr Z2 keeps its plan levels, which hold no reference
+    # back to it, so it is freed by refcount when the call returns: with the
+    # cyclic collector off, a reference cycle would keep it alive.
+    from cosetlab import checking
+    refs = []
+
+    def recording(*args, _embed=checking.embed_wreath_group):
+        group = _embed(*args)
+        refs.append(weakref.ref(group))
+        return group
+
+    monkeypatch.setattr(checking, "embed_wreath_group", recording)
+    s3 = symmetric_group(3)
+    gc.disable()
+    try:
+        for inst in (plant_hsp(s3, (), Side.LEFT),
+                     plant_hsp(s3, (parse_cycles("(1 2)", 3),), Side.LEFT)):
+            for program in (BruteForceDecisionOracle(),
+                            wrap_buggy(BruteForceDecisionOracle(), BugSpec("always_trivial"))):
+                checker_hspD(program, inst, k=2, seed=0)
+            checker_hsp(BruteSearchProgram(), inst, k=2, seed=0)
+        freed = [ref() is None for ref in refs]  # read before the collector runs again
+    finally:
+        gc.enable()
+    assert freed == [True] * 5
 
 
 def test_flip_transcripts_are_pinned():

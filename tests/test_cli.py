@@ -358,3 +358,26 @@ def test_instance_the_command_cannot_take_exits_2(plant_args, args):
     code, error = _error_exit(args, instance)
     assert code == 2
     assert error["error"]
+
+
+@pytest.mark.parametrize("subgroup", ["", "r2", "r1s,r2"])
+def test_dihedral_search_rejects_a_hidden_subgroup_it_cannot_find(subgroup):
+    # The dihedral search finds a hidden {id, r^a s} only; the closure of the
+    # planted generators decides before any query, whatever the oracle.
+    instance = json.dumps(payload(run(["plant", "hsp", "--group", "d6", "--subgroup",
+                                       subgroup]))["outputs"]["instance"])
+    code, error = _error_exit(["search-via-decision", "--smooth-bound", "3"], instance)
+    assert code == 2
+    assert "{id, r^a s}" in error["error"]
+
+
+@pytest.mark.parametrize("args", [
+    [], ["plant"], ["--seed", "x", "plant"], ["plant", "hsp", "--group", "s3", "--side", "up"],
+    ["check", "--k", "x"], ["selftest", "--suite", "none"], ["--nope"], ["nope"],
+    ["plant", "nope"], ["--cap", "5", "plant", "hsp", "--group", "s3"],
+])
+def test_each_error_prints_one_json_object(args):
+    result = CliRunner().invoke(main, args, input="")
+    assert result.exit_code == 2
+    assert len([l for l in result.stdout.splitlines() if l.startswith("{")]) == 1
+    assert not [l for l in result.stderr.splitlines() if l.startswith("{")]

@@ -354,7 +354,7 @@ def test_gamma_set_stabilizer_matches_embedding():
     seen = {3: 0, 4: 0}
     for n, pairs in _gamma_corpus():
         seen[n] += 1
-        constraint = GammaSetStabilizer(n, pairs)
+        constraint = GammaSetStabilizer(pairs)
         flat = {r + (c - 1) * n for (r, c) in pairs}
         for w in elements[n]:
             compiled = constraint.contains(w)
@@ -369,7 +369,7 @@ def test_gamma_set_stabilizer_matches_embedding():
 def test_joined_stabilizers_accept_what_each_accepts():
     wr = wreath_group(symmetric_group(3), 2)
     base = HspInstance(wr, OracleFunction(lambda w: 0), Side.LEFT)
-    stabilizers = [GammaSetStabilizer(3, pairs)
+    stabilizers = [GammaSetStabilizer(pairs)
                    for n, pairs in _gamma_corpus() if n == 3 and len(pairs) == 2]
     for first, second in itertools.product(stabilizers, repeat=2):
         accepts = StructuredHspInstance(base, (first, second)).accepts

@@ -5,17 +5,16 @@ import pytest
 from cosetlab.checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
                                BruteForceShiftOracle, BugSpec, _translated_instance,
                                brute_decide, wrap_buggy)
-from cosetlab.groups import (DihedralElement, close_under_op, cyclic_group,
-                             dihedral_group, element_key, group_op, invert,
-                             symmetric_group, wreath_group)
-from cosetlab.instances import Side, plant_coset, plant_hsp
+from cosetlab.groups import (DihedralElement, FiniteGroup, close_under_op,
+                             cyclic_group, dihedral_group, element_key, group_op,
+                             invert, symmetric_group, wreath_group)
+from cosetlab.instances import HspInstance, Side, plant_coset, plant_hsp
 from cosetlab.perms import build_stabilizer_chain, parse_cycles
 from cosetlab.reductions import (GammaSetStabilizer, PairedOracle, StructuredHspInstance,
                                  embed_wreath_group)
 from cosetlab.search_decision import (DecisionAnswer, NoShiftError, NotSmoothError,
                                       OracleInconsistentError,
-                                      build_hsp_search_plan, build_plan_skeleton,
-                                      crt_combine, instantiate_plan,
+                                      build_hsp_search_plan, crt_combine,
                                       dihedral_search_via_decision,
                                       finish_hsp_search, hsh_search_via_decision,
                                       hsp_search_via_decision,
@@ -138,14 +137,14 @@ def test_nested_plan_queries_match_flat_constraints():
     seen = set()
     for inst in instances:
         plan = build_hsp_search_plan(inst)
-        n = plan.chain.degree
+        n = plan.instance.group.identity.degree
         for record in plan.batch.records:
             i, j, j2, k, ell = record.index
             level = record.instance.base.base
             flat = StructuredHspInstance(level, (
-                GammaSetStabilizer(n, frozenset({(i, 1), (j, 2)})),
-                GammaSetStabilizer(n, frozenset({(i, 2), (j2, 1)})),
-                GammaSetStabilizer(n, frozenset({(k, 1), (ell, 2)}))))
+                GammaSetStabilizer(frozenset({(i, 1), (j, 2)})),
+                GammaSetStabilizer(frozenset({(i, 2), (j2, 1)})),
+                GammaSetStabilizer(frozenset({(k, 1), (ell, 2)}))))
             answer = brute_decide(record.instance)
             assert answer is brute_decide(flat), record.index
             seen.add(answer)
@@ -180,21 +179,29 @@ def _trial_instances(group, seeds):
                                              flat_group)[1] for seed in seeds]
 
 
+def _over_fresh_group(inst):
+    """The instance's oracle over a separate copy of its group, whose plan
+    levels are built afresh."""
+    g = inst.group
+    copy = FiniteGroup(g.generators, g.identity, g.name, g.elements_hint, g.known_order)
+    return HspInstance(copy, inst.oracle, inst.side)
+
+
 def test_shared_skeleton_plans_match_fresh_plans():
-    """One skeleton per group serves every instance over it: the same queries
-    in the same order as the definition and as a fresh plan, and on S3 the
-    same answers, so no instance's kernel leaks into another's plan."""
+    """One set of plan levels per group serves every instance over it: the
+    same queries in the same order as the definition and as a plan over a
+    separate group object, and on S3 the same answers, so no instance's
+    kernel leaks into another's plan."""
     families = []
     for group in (symmetric_group(3), symmetric_group(4)):
         families.append((group, [plant_hsp(group, gens, Side.LEFT)
                                  for gens in subgroups_of(group)], group.order() == 6))
     families.append((*_trial_instances(symmetric_group(3), (0, 1, 2)), True))
     for group, insts, decide in families:
-        skeleton = build_plan_skeleton(group)
         expected = list(_reference_queries(group.identity.degree))
         for inst in insts:
-            shared = instantiate_plan(skeleton, inst)
-            fresh = build_hsp_search_plan(inst)
+            shared = build_hsp_search_plan(inst)
+            fresh = build_hsp_search_plan(_over_fresh_group(inst))
             assert _plan_queries(shared) == expected
             assert _plan_queries(fresh) == expected
             if decide:
@@ -212,7 +219,7 @@ def test_search_keeps_one_skeleton_per_group_and_cap(monkeypatch):
     insts = [plant_hsp(s4, (), Side.LEFT),
              plant_hsp(s4, (parse_cycles("(1 2)(3 4)", 4),), Side.LEFT)]
     fresh = [finish_hsp_search(plan, plan.batch.run(BruteForceDecisionOracle()))
-             for plan in (instantiate_plan(build_plan_skeleton(s4), i) for i in insts)]
+             for plan in (build_hsp_search_plan(_over_fresh_group(i)) for i in insts)]
     builds = []
     monkeypatch.setattr(search_decision, "build_stabilizer_chain",
                         lambda *args, _build=build_stabilizer_chain:
@@ -251,8 +258,14 @@ def _check_paired_select(oracle, stream):
     assert oracle.evaluations - before == len(stream)
 
 
+def _level_groups(plan):
+    """The wreath group of every plan level, in level order."""
+    bases = dict.fromkeys(r.instance.base.base for r in plan.batch.records)
+    return [base.group for base in bases]
+
+
 def test_paired_select_matches_evaluate_and_compare():
-    """On every level of the S3 and S4 skeletons and of a flattened S3 wr Z2
+    """On every level of the plans over S3, S4 and a flattened S3 wr Z2
     trial group, the paired oracle's slot-by-slot selection keeps what
     evaluate-and-compare keeps, in stream order, at the same count: for the
     plan's slot labels of every instance and for two unrelated random
@@ -262,10 +275,12 @@ def test_paired_select_matches_evaluate_and_compare():
     families.append(_trial_instances(symmetric_group(3), (0, 1, 2)))
     rng = random.Random(8)
     for group, insts in families:
-        skeleton = build_plan_skeleton(group)
-        streams = [list(wreath.iter_elements()) for wreath, _ in skeleton.levels]
+        levels = _level_groups(build_hsp_search_plan(insts[0]))
+        assert len(levels) == group.identity.degree - 1
+        streams = [list(wreath.iter_elements()) for wreath in levels]
         for inst in insts:
-            plan = instantiate_plan(skeleton, inst)
+            plan = build_hsp_search_plan(inst)
+            assert _level_groups(plan) == levels
             paired = plan.batch.records[0].instance.base.base.oracle
             for stream in streams:
                 _check_paired_select(paired, stream)
@@ -276,18 +291,11 @@ def test_paired_select_matches_evaluate_and_compare():
                                  stream)
 
 
-def test_skeleton_rejects_an_instance_over_another_group():
-    s3 = symmetric_group(3)
-    skeleton = build_plan_skeleton(s3)
-    with pytest.raises(ValueError):
-        instantiate_plan(skeleton, plant_hsp(symmetric_group(3), (), Side.LEFT))
-
-
 def test_plan_holds_one_stabilizer_per_pair_set():
     flat_group, (flat,) = _trial_instances(symmetric_group(3), (7,))
     for inst in (plant_hsp(symmetric_group(4), (), Side.LEFT), flat):
         plan = build_hsp_search_plan(inst)
-        n = plan.chain.degree
+        n = plan.instance.group.identity.degree
         objects = {}
         for r in plan.batch.records:
             for c in (*r.instance.base.constraints, *r.instance.constraints):
@@ -402,18 +410,18 @@ def dihedral_instance(n, a):
 
 def test_dihedral_search_examples():
     oracle = BruteForceDihedralOracle()
-    assert dihedral_search_via_decision(12, 5, dihedral_instance(12, 5), oracle) == 5
+    assert dihedral_search_via_decision(dihedral_instance(12, 5), 5, oracle) == 5
     assert oracle.calls == 7
     # the residue climb visits moduli 2, 4, then 3
     assert [e.index[:2] for e in oracle.call_log] == (
         [(2, 1)] * 2 + [(2, 2)] * 2 + [(3, 1)] * 3)
 
     oracle0 = BruteForceDihedralOracle()
-    assert dihedral_search_via_decision(12, 5, dihedral_instance(12, 0), oracle0) == 0
+    assert dihedral_search_via_decision(dihedral_instance(12, 0), 5, oracle0) == 0
     assert oracle0.calls == 7
 
     oracle60 = BruteForceDihedralOracle()
-    assert dihedral_search_via_decision(60, 5, dihedral_instance(60, 37),
+    assert dihedral_search_via_decision(dihedral_instance(60, 37), 5,
                                         oracle60) == 37
     assert oracle60.calls == 12
 
@@ -421,14 +429,14 @@ def test_dihedral_search_examples():
 def test_dihedral_search_exhaustive_n12():
     for a in range(12):
         oracle = BruteForceDihedralOracle()
-        got = dihedral_search_via_decision(12, 5, dihedral_instance(12, a), oracle)
+        got = dihedral_search_via_decision(dihedral_instance(12, a), 5, oracle)
         assert got == a
         assert oracle.calls == 7
 
 
 def test_dihedral_search_not_smooth():
     with pytest.raises(NotSmoothError):
-        dihedral_search_via_decision(14, 5, dihedral_instance(14, 3),
+        dihedral_search_via_decision(dihedral_instance(14, 3), 5,
                                      BruteForceDihedralOracle())
 
 
@@ -436,4 +444,4 @@ def test_dihedral_rejects_wrong_instance_shape():
     s3 = symmetric_group(3)
     inst = plant_hsp(s3, (), Side.LEFT)
     with pytest.raises(TypeError):
-        dihedral_search_via_decision(12, 5, inst, BruteForceDihedralOracle())
+        dihedral_search_via_decision(inst, 5, BruteForceDihedralOracle())

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, WreathElement,
                      close_under_op, element_key, group_op, invert,
                      reduce_generators, wreath_group, wreath_unembed)
-from .instances import (GhshInstance, HiddenCosetInstance, HspInstance,
+from .instances import (GhshInstance, HiddenCosetInstance, HspInstance, Label,
                         OracleFunction, OrbitCosetInstance, Side)
 from .perms import (Permutation, StabilizerChain, build_stabilizer_chain,
                     random_element)
@@ -28,7 +28,7 @@ from .reductions import (InvalidKGeneratorsError, PairedOracle, StructuredHspIns
 from .search_decision import (DecisionAnswer, DecisionOracle, DihedralSubgroupQuery,
                               OracleInconsistentError, QueryRecord, ShiftQuery,
                               build_hsp_search_plan, event_stamp, finish_hsp_search,
-                              hsp_search_via_decision)
+                              hsp_search_via_decision, memoized_labels)
 
 
 def trial_rng(master_seed: int, index: int) -> random.Random:
@@ -251,17 +251,17 @@ def _verdict(transcript: Sequence[TrialRecord], oracle_calls: int,
                           first_trial_call_stamp=first_trial_call)
 
 
-def _translated_instance(inst: HspInstance, rng: random.Random, chain: StabilizerChain,
+def _translated_instance(label: Callable[[Permutation], Label], rng: random.Random,
+                         chain: StabilizerChain,
                          flat_group: FiniteGroup) -> tuple[GroupElement, HspInstance]:
-    """One self-trial: translate f by a random u, pair the functions, and
-    flatten the pair onto ``flat_group``, the trials' shared flattened
-    G wr Z_2."""
+    """One self-trial: translate f, read through ``label``, by a random u,
+    pair f with f(. u^-1), and flatten the pair onto ``flat_group``, the
+    trials' shared flattened G wr Z_2."""
     u = random_element(chain, rng)
     u_inv = invert(u)
-    f = inst.oracle
-    f2 = OracleFunction(lambda g: f.evaluate(group_op(g, u_inv)),
+    f2 = OracleFunction(lambda g: label(group_op(g, u_inv)),
                         description="translated labels")
-    paired = PairedOracle(f.evaluate, f2.evaluate, "paired coset functions")
+    paired = PairedOracle(label, f2.evaluate, "paired coset functions")
     return u, HspInstance(flat_group, embed_wreath_oracle(paired, chain.degree), Side.LEFT)
 
 
@@ -277,13 +277,16 @@ def _require_left_permutation_instance(inst: HspInstance) -> int:
 def _translate_trials(inst: HspInstance, k: int, seed: int, cap: int) -> list[tuple]:
     """k ``(t, u, flat instance)`` trials over one flattened G wr Z_2.
 
-    G's chain (which drives the u draws) and the flattened group are built
-    once; each trial builds only its translated, paired and flattened oracle.
+    G's chain (which drives the u draws), the flattened group and the memo f
+    is read through are built once; each trial builds only its translated,
+    paired and flattened oracle.  Through the memo, the k trials evaluate f
+    at most once per element of G between them.
     """
     n = inst.group.identity.degree
     chain = build_stabilizer_chain(inst.group.generators, n)
     flat_group = embed_wreath_group(wreath_group(inst.group, 2, cap), cap)
-    return [(t, *_translated_instance(inst, trial_rng(seed, t), chain, flat_group))
+    label = memoized_labels(inst.oracle)
+    return [(t, *_translated_instance(label, trial_rng(seed, t), chain, flat_group))
             for t in range(k)]
 
 

@@ -132,12 +132,33 @@ def _chain_level_group(chain: StabilizerChain, level: int) -> FiniteGroup:
                        known_order=chain.level_order(level))
 
 
+_MISS = object()
+
+
+def memoized_labels(oracle: OracleFunction) -> Callable[[Permutation], Label]:
+    """``oracle`` read through a memo keyed by element value, a permutation's
+    image tuple: each group element is evaluated at most once, however many
+    objects stand for it."""
+    memo: dict = {}
+    lookup = memo.get
+
+    def label(g: Permutation) -> Label:
+        hit = lookup(g.images, _MISS)
+        if hit is _MISS:
+            hit = memo[g.images] = oracle.evaluate(g)
+        return hit
+
+    return label
+
+
 @dataclass
 class HspSearchPlan:
-    """A sealed-to-be query family for one search, plus what reconstruction needs."""
+    """A sealed-to-be query family for one search, plus what reconstruction
+    needs: the instance and the memo its labels are read through."""
 
     instance: HspInstance
     batch: QueryBatch
+    label: Callable[[Permutation], Label]
 
 
 def _plan_levels(group: FiniteGroup, cap: int) -> tuple:
@@ -187,26 +208,17 @@ def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearc
     group = inst.group
     levels = group.derived(("plan levels", cap), lambda: _plan_levels(group, cap))
     batch = QueryBatch()
-    label_memo: dict = {}
-
-    def slot_label(g) -> Label:
-        # Memoized because slot values repeat across the quadratically many
-        # wreath elements.  Keyed by object identity: slot objects are drawn
-        # from one shared element list, and the stored reference keeps the id
-        # stable.
-        hit = label_memo.get(id(g))
-        if hit is None:
-            hit = label_memo[id(g)] = (g, inst.oracle.evaluate(g))
-        return hit[1]
-
-    paired = PairedOracle(slot_label, slot_label, f"paired {inst.oracle.description}")
+    # Slot values repeat across the quadratically many wreath elements and
+    # across levels, so the search reads each element's label once.
+    label = memoized_labels(inst.oracle)
+    paired = PairedOracle(label, label, f"paired {inst.oracle.description}")
     for wreath, prefixes in levels:
         base = HspInstance(wreath, paired, Side.LEFT)
         for pair, queries in prefixes:
             prefix = StructuredHspInstance(base, pair)
             for index, last in queries:
                 batch.add(index, StructuredHspInstance(prefix, (last,)))
-    return HspSearchPlan(inst, batch)
+    return HspSearchPlan(inst, batch, label)
 
 
 def reconstruct_from_answers(n: int, answers: dict) -> Permutation | None:
@@ -242,7 +254,7 @@ def finish_hsp_search(plan: HspSearchPlan, answers: dict) -> Permutation | None:
     found = reconstruct_from_answers(inst.group.identity.degree, answers)
     if found is None:
         return None
-    if inst.oracle.evaluate(found) != inst.oracle.evaluate(inst.group.identity):
+    if plan.label(found) != plan.label(inst.group.identity):
         raise OracleInconsistentError("assembled element does not share the identity label")
     return found
 
@@ -283,19 +295,22 @@ def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
     the running translate, must make it so.  The answer composes bottom-up:
     the representative found at the deepest level applies first.  The
     assembled translate must satisfy f1(id) = f2(u); as f2 is injective only
-    the true shift does, so a lying oracle raises NoShiftError.
+    the true shift does, so a lying oracle raises NoShiftError.  The queries
+    read f1 and f2 through one memo each, so the search evaluates each
+    function at most once per element before that final check.
     """
     identity = group.identity
     if not isinstance(identity, Permutation):
         raise TypeError("shift search runs over permutation groups")
     n = identity.degree
     chain = build_stabilizer_chain(group.generators, n)
+    label1, label2 = memoized_labels(f1), memoized_labels(f2)
     acc = Permutation.identity(n)
     for i in range(n):
         level_group = _chain_level_group(chain, i + 1)
         current = acc
-        base_query = ShiftQuery((i + 1, "stay"), level_group, f1.evaluate,
-                                lambda g, a=current: f2.evaluate(g.op(a)))
+        base_query = ShiftQuery((i + 1, "stay"), level_group, label1,
+                                lambda g, a=current: label2(g.op(a)))
         if oracle.answer(base_query):
             continue
         reps = [rep for b, rep in sorted(chain.transversal(i + 1).items())
@@ -303,8 +318,8 @@ def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
         found = None
         for rep in reps:
             candidate = rep.op(current)
-            query = ShiftQuery((i + 1, tuple(rep.images)), level_group, f1.evaluate,
-                               lambda g, a=candidate: f2.evaluate(g.op(a)))
+            query = ShiftQuery((i + 1, tuple(rep.images)), level_group, label1,
+                               lambda g, a=candidate: label2(g.op(a)))
             if oracle.answer(query):
                 found = rep
                 break

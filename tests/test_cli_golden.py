@@ -26,7 +26,7 @@ PIPELINES = [
     ("readme-s3-querylog",
      [["plant", "hsp", "--group", "s3", "--subgroup", "(1 2 3)"],
       ["search-via-decision", "--emit-querylog"]],
-     ["300046e525ebbdc2", "4c11e13d9b568189"]),
+     ["300046e525ebbdc2", "d5f02a086214831f"]),
     ("readme-z4-coset",
      [["plant", "coset", "--group", "z4", "--subgroup", "2", "--shift", "1"],
       ["reduce"], ["solve"]],
@@ -42,14 +42,14 @@ PIPELINES = [
     ("s4-querylog",
      [["plant", "hsp", "--group", "s4", "--subgroup", "(1 2)(3 4)"],
       ["search-via-decision", "--emit-querylog"]],
-     ["499a06e6828079b0", "6b3b8429cca3fa7f"]),
+     ["499a06e6828079b0", "7532e3e3a27970bc"]),
     ("s4-trivial-querylog",
      [["plant", "hsp", "--group", "s4"], ["search-via-decision", "--emit-querylog"]],
-     ["21fb81efe8500c81", "518b3234f4faa749"]),
+     ["21fb81efe8500c81", "0083f4fdca55b312"]),
     ("s3-shift-search",
      [["plant", "coset", "--group", "s3", "--subgroup", "", "--shift", "(1 2 3)"],
       ["--seed", "4", "search-via-decision"]],
-     ["68570faa49efecfe", "d291c74c456194c7"]),
+     ["68570faa49efecfe", "52dc7c1bf5b61f51"]),
     ("check-decision-bruteforce",
      [S3_C2, ["--seed", "5", "check", "--k", "3", "--runs", "2"]],
      ["93d15b239c30e4be", "13dedcb51adcfd90"]),

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from cosetlab.checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
-                               BruteForceShiftOracle, BugSpec, _translated_instance,
-                               brute_decide, wrap_buggy)
+                               BruteForceShiftOracle, BruteSearchProgram, BugSpec,
+                               _translated_instance, brute_decide, checker_hsp,
+                               checker_hspD, wrap_buggy)
 from cosetlab.groups import (DihedralElement, FiniteGroup, close_under_op,
                              cyclic_group, dihedral_group, element_key, group_op,
                              invert, symmetric_group, wreath_group)
@@ -17,7 +18,7 @@ from cosetlab.search_decision import (DecisionAnswer, NoShiftError, NotSmoothErr
                                       build_hsp_search_plan, crt_combine,
                                       dihedral_search_via_decision,
                                       finish_hsp_search, hsh_search_via_decision,
-                                      hsp_search_via_decision,
+                                      hsp_search_via_decision, memoized_labels,
                                       reconstruct_from_answers, smooth_factorize)
 
 
@@ -131,8 +132,8 @@ def test_nested_plan_queries_match_flat_constraints():
                  for gens in subgroups_of(group)]
     s3 = symmetric_group(3)
     chain = build_stabilizer_chain(s3.generators, 3)
-    instances.append(_translated_instance(plant_hsp(s3, (), Side.LEFT),
-                                          random.Random(5), chain,
+    label = memoized_labels(plant_hsp(s3, (), Side.LEFT).oracle)
+    instances.append(_translated_instance(label, random.Random(5), chain,
                                           embed_wreath_group(wreath_group(s3, 2)))[1])
     seen = set()
     for inst in instances:
@@ -175,7 +176,8 @@ def _trial_instances(group, seeds):
     chain = build_stabilizer_chain(group.generators, n)
     flat_group = embed_wreath_group(wreath_group(group, 2))
     trivial = plant_hsp(group, (), Side.LEFT)
-    return flat_group, [_translated_instance(trivial, random.Random(seed), chain,
+    label = memoized_labels(trivial.oracle)
+    return flat_group, [_translated_instance(label, random.Random(seed), chain,
                                              flat_group)[1] for seed in seeds]
 
 
@@ -317,6 +319,26 @@ def test_search_requires_permutation_group():
     inst = plant_hsp(z6, (), Side.LEFT)
     with pytest.raises(TypeError):
         hsp_search_via_decision(inst, BruteForceDecisionOracle())
+
+
+def test_each_planted_label_is_read_once():
+    """A truth-table search reads the planted oracle once per group element,
+    and a checker call's translate trials read it at most once per element
+    between them, so the count does not move with k."""
+    for group in (symmetric_group(3), symmetric_group(4)):
+        for gens in subgroups_of(group):
+            inst = plant_hsp(group, gens, Side.LEFT)
+            hsp_search_via_decision(inst, BruteForceDecisionOracle())
+            assert inst.oracle.evaluations == group.order(), gens
+            for checker, program in ((checker_hspD, BruteForceDecisionOracle),
+                                     (checker_hsp, BruteSearchProgram)):
+                for seed in range(3):
+                    counts = []
+                    for k in (1, 5):
+                        inst = plant_hsp(group, gens, Side.LEFT)
+                        checker(program(), inst, k, seed)
+                        counts.append(inst.oracle.evaluations)
+                    assert counts[0] == counts[1], (checker.__name__, gens, seed)
 
 
 # -- shift search ----------------------------------------------------------------

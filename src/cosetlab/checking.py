@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, WreathElement,
+from .groups import (FiniteGroup, GroupElement, WreathElement,
                      close_under_op, element_key, group_op, invert,
                      reduce_generators, wreath_group, wreath_unembed)
 from .instances import (GhshInstance, HiddenCosetInstance, HspInstance, Label,
@@ -40,49 +40,47 @@ def trial_rng(master_seed: int, index: int) -> random.Random:
 # -- brute-force reference solvers ---------------------------------------------------
 
 
-def brute_hsp_solve(inst: HspInstance, cap: int = DEFAULT_CAP) -> list[GroupElement]:
+def brute_hsp_solve(inst: HspInstance) -> list[GroupElement]:
     """Generators of {g : f(g) = f(id)}, reduced greedily; empty list when trivial."""
-    return reduce_generators(inst.kernel(cap), inst.group.identity, cap)
+    return reduce_generators(inst.kernel(), inst.group.identity, inst.group.cap)
 
 
-def brute_coset_solve(inst: HiddenCosetInstance, cap: int = DEFAULT_CAP
-                      ) -> tuple[list[GroupElement], GroupElement]:
+def brute_coset_solve(inst: HiddenCosetInstance) -> tuple[list[GroupElement], GroupElement]:
     """The full shift coset, as (subgroup generators, least shift)."""
-    shifts = inst.brute_shift_set(cap)
+    shifts = inst.brute_shift_set()
     if not shifts:
         raise ValueError("no shift relates the two functions; promise violated")
     least = min(shifts, key=element_key)
     least_inv = invert(least)
     members = [group_op(v, least_inv) for v in shifts]
-    return reduce_generators(members, inst.group.identity, cap), least
+    return reduce_generators(members, inst.group.identity, inst.group.cap), least
 
 
-def brute_ghsh_solve(inst: GhshInstance, cap: int = DEFAULT_CAP) -> GroupElement:
-    shifts = inst.brute_shift_set(cap)
+def brute_ghsh_solve(inst: GhshInstance) -> GroupElement:
+    shifts = inst.brute_shift_set()
     if len(shifts) != 1:
         raise ValueError(f"expected a unique shift, found {len(shifts)}")
     return shifts[0]
 
 
-def brute_orbit_solve(inst: OrbitCosetInstance, cap: int = DEFAULT_CAP
+def brute_orbit_solve(inst: OrbitCosetInstance
                       ) -> tuple[GroupElement | None, list[GroupElement]]:
     """A mapping element (None when orbits are disjoint) plus stabilizer generators."""
     act = inst.action
     stab = act.stabilizer_generators(inst.phi1)
-    mapping = [g for g in act.group.elements(cap)
+    mapping = [g for g in act.group.elements()
                if act.act(g, inst.phi1) == inst.phi0]
     if not mapping:
         return None, stab
     return min(mapping, key=element_key), stab
 
 
-def brute_decide(structured: StructuredHspInstance,
-                 cap: int = DEFAULT_CAP) -> DecisionAnswer:
+def brute_decide(structured: StructuredHspInstance) -> DecisionAnswer:
     """Nontrivial iff some non-identity element shares the identity label and
     lies in every constraint group: the base kernel filtered through the
     instance's bound conjunction.  A structured base supplies its kernel
     already filtered through its own constraints."""
-    for g in filter(structured.accepts, structured.base.kernel(cap)):
+    for g in filter(structured.accepts, structured.base.kernel()):
         if not g.is_identity():
             return DecisionAnswer.NONTRIVIAL
     return DecisionAnswer.TRIVIAL
@@ -92,14 +90,14 @@ class BruteForceDecisionOracle(DecisionOracle):
     """Answers structured decision queries by enumerate-and-filter."""
 
     def _answer(self, query: QueryRecord) -> DecisionAnswer:
-        return brute_decide(query.instance, self.cap)
+        return brute_decide(query.instance)
 
 
 class BruteForceShiftOracle(DecisionOracle):
     """Answers shift-existence queries by trying every subgroup element."""
 
     def _answer(self, query: ShiftQuery) -> bool:
-        elems = query.group.elements(self.cap)
+        elems = query.group.elements()
         tagged = [(g, query.f1(g)) for g in elems]
         return any(all(lab == query.f2(group_op(g, w)) for g, lab in tagged)
                    for w in elems)
@@ -111,7 +109,7 @@ class BruteForceDihedralOracle(DecisionOracle):
     def _answer(self, query: DihedralSubgroupQuery) -> DecisionAnswer:
         f = query.instance.oracle
         base = f.evaluate(query.instance.group.identity)
-        for g in query.subgroup().elements(self.cap):
+        for g in query.subgroup().elements():
             if not g.is_identity() and f.evaluate(g) == base:
                 return DecisionAnswer.NONTRIVIAL
         return DecisionAnswer.TRIVIAL
@@ -121,7 +119,7 @@ class BruteSearchProgram(DecisionOracle):
     """A hidden-subgroup search program: instance -> subgroup generators."""
 
     def _answer(self, inst: HspInstance) -> list[GroupElement]:
-        return brute_hsp_solve(inst, self.cap)
+        return brute_hsp_solve(inst)
 
 
 # -- fault injection -------------------------------------------------------------------
@@ -265,16 +263,20 @@ def _translated_instance(label: Callable[[Permutation], Label], rng: random.Rand
     return u, HspInstance(flat_group, embed_wreath_oracle(paired, chain.degree), Side.LEFT)
 
 
-def _require_left_permutation_instance(inst: HspInstance) -> int:
+def require_checkable(inst) -> int:
+    """The degree of a checker's input.  Raises ValueError unless it is a
+    hidden-subgroup instance over a permutation group with left-side labels."""
+    if not isinstance(inst, HspInstance):
+        raise ValueError("checkers take hidden-subgroup instances")
     identity = inst.group.identity
     if not isinstance(identity, Permutation):
-        raise TypeError("checkers run over permutation groups")
+        raise ValueError("checkers run over permutation groups")
     if inst.side is not Side.LEFT:
         raise ValueError("checkers need label-distinct left cosets; plant with the left side")
     return identity.degree
 
 
-def _translate_trials(inst: HspInstance, k: int, seed: int, cap: int) -> list[tuple]:
+def _translate_trials(inst: HspInstance, k: int, seed: int) -> list[tuple]:
     """k ``(t, u, flat instance)`` trials over one flattened G wr Z_2.
 
     G's chain (which drives the u draws), the flattened group and the memo f
@@ -284,7 +286,7 @@ def _translate_trials(inst: HspInstance, k: int, seed: int, cap: int) -> list[tu
     """
     n = inst.group.identity.degree
     chain = build_stabilizer_chain(inst.group.generators, n)
-    flat_group = embed_wreath_group(wreath_group(inst.group, 2, cap), cap)
+    flat_group = embed_wreath_group(wreath_group(inst.group, 2))
     label = memoized_labels(inst.oracle)
     return [(t, *_translated_instance(label, trial_rng(seed, t), chain, flat_group))
             for t in range(k)]
@@ -305,7 +307,7 @@ def _judge_trials(program: DecisionOracle, trials: list[tuple],
 
 
 def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
-                 seed: int = 0, cap: int = DEFAULT_CAP) -> CheckerVerdict:
+                 seed: int = 0) -> CheckerVerdict:
     """Certify a decision program's answer on one instance.
 
     A NONTRIVIAL answer is checked by running the search reduction with the
@@ -317,7 +319,7 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = _require_left_permutation_instance(inst)
+    n = require_checkable(inst)
     calls_before = program.calls
     transcript: list[TrialRecord] = []
 
@@ -325,7 +327,7 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
                                        StructuredHspInstance(inst, ())))
     if first is DecisionAnswer.NONTRIVIAL:
         try:
-            found = hsp_search_via_decision(inst, program, cap)
+            found = hsp_search_via_decision(inst, program)
         except OracleInconsistentError as exc:
             transcript.append(TrialRecord("search", "witness search", False, str(exc)))
             return _verdict(transcript, program.calls - calls_before)
@@ -355,13 +357,13 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
         return TrialRecord(t, "translate trial", True)
 
     # The trials share one flattened group, which keeps its plan levels.
-    plans = [(t, u, build_hsp_search_plan(flat, cap))
-             for t, u, flat in _translate_trials(inst, k, seed, cap)]
+    plans = [(t, u, build_hsp_search_plan(flat))
+             for t, u, flat in _translate_trials(inst, k, seed)]
     return _judge_trials(program, plans, judge, transcript, calls_before)
 
 
 def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
-                seed: int = 0, cap: int = DEFAULT_CAP) -> CheckerVerdict:
+                seed: int = 0) -> CheckerVerdict:
     """Certify a search program's output on one instance.
 
     The claimed generators must share the identity's label; then k translate
@@ -371,7 +373,7 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = _require_left_permutation_instance(inst)
+    n = require_checkable(inst)
     calls_before = program.calls
     transcript: list[TrialRecord] = []
 
@@ -391,7 +393,7 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
             break
     transcript.append(TrialRecord("members", "claimed generators lie in the subgroup",
                                   members_ok, detail))
-    claimed_closure = set(close_under_op(claimed, inst.group.identity, cap))
+    claimed_closure = set(close_under_op(claimed, inst.group.identity, inst.group.cap))
 
     def judge(t, u, flat):
         claimed_emb = program.answer(flat)
@@ -400,7 +402,7 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
             sub_gens, u_prime = recover_coset_solution(k_gens)
         except (InvalidKGeneratorsError, ValueError) as exc:
             return TrialRecord(t, "translate trial", False, str(exc))
-        recovered = set(close_under_op(sub_gens, inst.group.identity, cap))
+        recovered = set(close_under_op(sub_gens, inst.group.identity, inst.group.cap))
         if recovered != claimed_closure:
             return TrialRecord(t, "translate trial", False,
                                "recovered subgroup differs from the claimed one")
@@ -409,5 +411,5 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
                                "recovered shift lies outside the claimed coset")
         return TrialRecord(t, "translate trial", True)
 
-    trials = _translate_trials(inst, k, seed, cap)
+    trials = _translate_trials(inst, k, seed)
     return _judge_trials(program, trials, judge, transcript, calls_before)

@@ -19,9 +19,10 @@ import click
 from .checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
                        BruteForceShiftOracle, BruteSearchProgram, BugSpec,
                        brute_coset_solve, brute_ghsh_solve, brute_hsp_solve,
-                       brute_orbit_solve, checker_hsp, checker_hspD, wrap_buggy)
-from .groups import (DihedralElement, FiniteGroup, close_under_op, cyclic_group,
-                     dihedral_group, element_from_json, element_to_json,
+                       brute_orbit_solve, checker_hsp, checker_hspD, require_checkable,
+                       wrap_buggy)
+from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, close_under_op,
+                     cyclic_group, dihedral_group, element_from_json, element_to_json,
                      symmetric_group, wreath_group)
 from .instances import (GhshInstance, GroupAction, HiddenCosetInstance,
                         HspInstance, OrbitCosetInstance, Side, instance_to_json,
@@ -101,25 +102,26 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def parse_group(shorthand: str) -> FiniteGroup:
-    """Expand group shorthands: s<n>, z<n>, d<n>, wr:<inner>:<copies>."""
+def parse_group(shorthand: str, cap: int) -> FiniteGroup:
+    """Expand group shorthands: s<n>, z<n>, d<n>, wr:<inner>:<copies>; the
+    group enumerates under ``cap``."""
     text = shorthand.strip().lower()
     if text.startswith("wr:"):
         body = text[3:]
         inner, _, copies = body.rpartition(":")
         if not inner or not copies.isdigit():
             raise InputError(f"malformed wreath shorthand: {shorthand!r}")
-        return wreath_group(parse_group(inner), int(copies))
+        return wreath_group(parse_group(inner, cap), int(copies))
     kind, number = text[:1], text[1:]
     if not number.isdigit():
         raise InputError(f"unknown group shorthand: {shorthand!r}")
     n = int(number)
     if kind == "s":
-        return symmetric_group(n)
+        return symmetric_group(n, cap)
     if kind == "z":
-        return cyclic_group(n)
+        return cyclic_group(n, cap)
     if kind == "d":
-        return dihedral_group(n)
+        return dihedral_group(n, cap)
     raise InputError(f"unknown group shorthand: {shorthand!r}")
 
 
@@ -172,20 +174,20 @@ def parse_action(shorthand: str, cap: int) -> GroupAction:
     parts = shorthand.strip().lower().split(":")
     if parts[0] == "cyclic" and len(parts) == 2:
         n = int(parts[1])
-        group = cyclic_group(n)
+        group = cyclic_group(n, cap)
         images = tuple((s + 1) % n for s in range(n))
-        return GroupAction(group, tuple(f"s{i}" for i in range(n)), (images,), cap)
+        return GroupAction(group, tuple(f"s{i}" for i in range(n)), (images,))
     if parts[0] == "two-orbit" and len(parts) == 4:
         n, a, b = int(parts[1]), int(parts[2]), int(parts[3])
         if min(n, a, b) < 1:
             raise InputError("group and orbit sizes must be positive")
         if n % a or n % b:
             raise InputError("orbit sizes must divide the group order")
-        group = cyclic_group(n)
+        group = cyclic_group(n, cap)
         first = [(s + 1) % a for s in range(a)]
         second = [a + ((s + 1) % b) for s in range(b)]
         states = tuple([f"a{i}" for i in range(a)] + [f"b{i}" for i in range(b)])
-        return GroupAction(group, states, (tuple(first + second),), cap)
+        return GroupAction(group, states, (tuple(first + second),))
     raise InputError(f"unknown action shorthand: {shorthand!r}")
 
 
@@ -227,9 +229,9 @@ def _program(honest, bug: BugSpec | None):
     return honest if bug is None else wrap_buggy(honest, bug)
 
 
-def parse_program(spec_text: str, flavor: str, cap: int, seed: int):
-    base = (BruteForceDecisionOracle(cap) if flavor == "decision"
-            else BruteSearchProgram(cap))
+def parse_program(spec_text: str, flavor: str, seed: int):
+    base = (BruteForceDecisionOracle() if flavor == "decision"
+            else BruteSearchProgram())
     return _program(base, parse_bug_spec(spec_text, seed))
 
 
@@ -282,14 +284,14 @@ def _load_and_verify(path, cap):
         instance = instance_from_json_any(data, cap)
     except (ValueError, KeyError, TypeError, ExceedsCapError) as exc:
         raise InputError(f"bad instance: {exc}")
-    if not verify_promise(instance, cap):
+    if not verify_promise(instance):
         raise InputError("instance violates its promise")
     return data, instance
 
 
-def _verified(inst, cap):
+def _verified(inst):
     """A freshly planted instance, which must keep its own promise."""
-    if not verify_promise(inst, cap):
+    if not verify_promise(inst):
         raise click.ClickException("planted instance failed its own promise")
     return inst
 
@@ -303,7 +305,8 @@ def _emit_planted(ctx, inst, **outputs) -> None:
 
 @click.group(cls=_JsonUsageGroup)
 @click.option("--seed", type=int, default=0, help="64-bit seed for all randomness.")
-@click.option("--cap", type=int, default=100_000, help="Enumeration cap.")
+@click.option("--cap", type=int, default=DEFAULT_CAP,
+              help="Enumeration cap of every group the command builds.")
 @click.pass_context
 def main(ctx, seed, cap):
     """Desk-scale hidden-structure workbench over small finite groups."""
@@ -322,13 +325,13 @@ def plant():
 @click.option("--side", type=click.Choice(["left", "right"]), default="left")
 @click.pass_context
 def plant_hsp_cmd(ctx, group_text, subgroup_text, side):
-    cap = ctx.obj["cap"]
     with _input_errors():
-        group = parse_group(group_text)
+        group = parse_group(group_text, ctx.obj["cap"])
         gens = parse_elements(subgroup_text, group)
-        inst = _verified(plant_hsp(group, gens, Side(side), cap), cap)
-        labels = {inst.oracle.evaluate(g) for g in group.elements(cap)}
-    _emit_planted(ctx, inst, distinct_labels=len(labels))
+        inst = _verified(plant_hsp(group, gens, Side(side)))
+    # The promise just verified makes the labels the planted subgroup's cosets.
+    hidden = close_under_op(gens, group.identity, group.cap)
+    _emit_planted(ctx, inst, distinct_labels=group.order() // len(hidden))
 
 
 @plant.command("coset")
@@ -337,12 +340,11 @@ def plant_hsp_cmd(ctx, group_text, subgroup_text, side):
 @click.option("--shift", "shift_text", required=True)
 @click.pass_context
 def plant_coset_cmd(ctx, group_text, subgroup_text, shift_text):
-    cap = ctx.obj["cap"]
     with _input_errors():
-        group = parse_group(group_text)
+        group = parse_group(group_text, ctx.obj["cap"])
         gens = parse_elements(subgroup_text, group)
         shift = parse_element(shift_text, group)
-        inst = _verified(plant_coset(group, gens, shift, cap), cap)
+        inst = _verified(plant_coset(group, gens, shift))
     _emit_planted(ctx, inst)
 
 
@@ -352,11 +354,10 @@ def plant_coset_cmd(ctx, group_text, subgroup_text, shift_text):
 @click.option("--copies", type=int, default=2)
 @click.pass_context
 def plant_ghsh_cmd(ctx, group_text, shift_text, copies):
-    cap = ctx.obj["cap"]
     with _input_errors():
-        group = parse_group(group_text)
+        group = parse_group(group_text, ctx.obj["cap"])
         shift = parse_element(shift_text, group)
-        inst = _verified(plant_ghsh(group, shift, copies, cap), cap)
+        inst = _verified(plant_ghsh(group, shift, copies))
     _emit_planted(ctx, inst)
 
 
@@ -367,12 +368,11 @@ def plant_ghsh_cmd(ctx, group_text, shift_text, copies):
               help="Element text, or 'none' for a disjoint-orbit instance.")
 @click.pass_context
 def plant_orbit_cmd(ctx, action_text, phi1, shift_text):
-    cap = ctx.obj["cap"]
     with _input_errors():
-        action = parse_action(action_text, cap)
+        action = parse_action(action_text, ctx.obj["cap"])
         shift = (None if shift_text.strip().lower() == "none"
                  else parse_element(shift_text, action.group))
-        inst = _verified(plant_orbit_coset(action, phi1, shift), cap)
+        inst = _verified(plant_orbit_coset(action, phi1, shift))
     _emit_planted(ctx, inst)
 
 
@@ -381,12 +381,11 @@ def plant_orbit_cmd(ctx, action_text, phi1, shift_text):
 @click.pass_context
 def reduce_cmd(ctx, path):
     """Carry a coset / shift-chain / orbit instance into hidden-subgroup form."""
-    cap = ctx.obj["cap"]
-    data, instance = _load_and_verify(path, cap)
+    data, instance = _load_and_verify(path, ctx.obj["cap"])
     with _input_errors():
         reduced_json = reduced_instance_to_json(data)
     reduced = reduce_instance(instance)
-    if not verify_promise(reduced, cap):
+    if not verify_promise(reduced):
         raise click.ClickException("reduced instance failed its promise")
     _emit_report(ctx, {"instance": reduced_json,
                        "provenance": reduced_json["construction"]["via"],
@@ -400,24 +399,23 @@ def reduce_cmd(ctx, path):
 @click.pass_context
 def solve_cmd(ctx, path):
     """Brute-force reference solution of a planted instance."""
-    cap = ctx.obj["cap"]
-    data, instance = _load_and_verify(path, cap)
-    outputs = _solve(instance, cap)
+    data, instance = _load_and_verify(path, ctx.obj["cap"])
+    outputs = _solve(instance)
     _emit_report(ctx, outputs, _counters(instance), _digest(data))
 
 
-def _solve(instance, cap) -> dict:
+def _solve(instance) -> dict:
     if isinstance(instance, HspInstance):
-        gens = brute_hsp_solve(instance, cap)
+        gens = brute_hsp_solve(instance)
         return {"subgroup_generators": [element_to_json(g) for g in gens]}
     if isinstance(instance, HiddenCosetInstance):
-        gens, shift = brute_coset_solve(instance, cap)
+        gens, shift = brute_coset_solve(instance)
         return {"subgroup_generators": [element_to_json(g) for g in gens],
                 "shift": element_to_json(shift)}
     if isinstance(instance, GhshInstance):
-        return {"shift": element_to_json(brute_ghsh_solve(instance, cap))}
+        return {"shift": element_to_json(brute_ghsh_solve(instance))}
     if isinstance(instance, OrbitCosetInstance):
-        shift, stab = brute_orbit_solve(instance, cap)
+        shift, stab = brute_orbit_solve(instance)
         return {"disjoint": shift is None,
                 "shift": None if shift is None else element_to_json(shift),
                 "stabilizer_generators": [element_to_json(g) for g in stab]}
@@ -434,18 +432,19 @@ def _solve(instance, cap) -> dict:
 @click.pass_context
 def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
     """Solve the search problem using only a decision oracle."""
-    cap, seed = ctx.obj["cap"], ctx.obj["seed"]
-    data, instance = _load_and_verify(path, cap)
+    seed = ctx.obj["seed"]
+    data, instance = _load_and_verify(path, ctx.obj["cap"])
     bug = parse_bug_spec(oracle_text, seed)
     try:
         if isinstance(instance, HspInstance):
             ident = instance.group.identity
             if isinstance(ident, DihedralElement):
                 # _load_and_verify checked that the planted closure is the kernel.
-                hidden = close_under_op(instance.planted_subgroup, ident, cap)
+                hidden = close_under_op(instance.planted_subgroup, ident,
+                                        instance.group.cap)
                 if len(hidden) != 2 or not any(g.flip for g in hidden):
                     raise InputError("dihedral search needs a hidden subgroup {id, r^a s}")
-                oracle = _program(BruteForceDihedralOracle(cap), bug)
+                oracle = _program(BruteForceDihedralOracle(), bug)
                 with _input_errors():  # an order that is not smooth
                     outputs = {"shift_exponent": dihedral_search_via_decision(
                         instance, smooth_bound, oracle)}
@@ -453,8 +452,8 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
                 if not isinstance(ident, Permutation):
                     raise InputError("hidden subgroup search runs over permutation "
                                      "and dihedral groups")
-                oracle = _program(BruteForceDecisionOracle(cap), bug)
-                found = hsp_search_via_decision(instance, oracle, cap)
+                oracle = _program(BruteForceDecisionOracle(), bug)
+                found = hsp_search_via_decision(instance, oracle)
                 outputs = {"found": None if found is None else element_to_json(found)}
         elif isinstance(instance, HiddenCosetInstance):
             if instance.planted_subgroup:
@@ -462,7 +461,7 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
                     "shift search needs injective functions; plant with an empty subgroup")
             if not isinstance(instance.group.identity, Permutation):
                 raise InputError("shift search runs over permutation groups")
-            oracle = _program(BruteForceShiftOracle(cap), bug)
+            oracle = _program(BruteForceShiftOracle(), bug)
             outputs = {"shift": element_to_json(hsh_search_via_decision(
                 instance.group, instance.f1, instance.f2, oracle))}
         else:
@@ -485,24 +484,20 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
 @click.pass_context
 def check_cmd(ctx, path, program_text, flavor, k, runs):
     """Certify a program's answer on this instance; repeat --runs times."""
-    cap, seed = ctx.obj["cap"], ctx.obj["seed"]
+    seed = ctx.obj["seed"]
     if k < 1:
         raise InputError(f"--k must be at least 1, got {k}")
     if runs < 1:
         raise InputError(f"--runs must be at least 1, got {runs}")
-    data, instance = _load_and_verify(path, cap)
-    if not isinstance(instance, HspInstance):
-        raise InputError("checkers take hidden-subgroup instances")
-    if not isinstance(instance.group.identity, Permutation):
-        raise InputError("checkers run over permutation groups")
-    if instance.side is not Side.LEFT:
-        raise InputError("checkers need label-distinct left cosets; plant with the left side")
+    data, instance = _load_and_verify(path, ctx.obj["cap"])
+    with _input_errors():
+        require_checkable(instance)
     per_run = []
     counts = {"CORRECT": 0, "BUGGY": 0}
     for run in range(runs):
-        program = parse_program(program_text, flavor, cap, seed + run)
+        program = parse_program(program_text, flavor, seed + run)
         checker = checker_hspD if flavor == "decision" else checker_hsp
-        verdict = checker(program, instance, k, seed=seed + run, cap=cap)
+        verdict = checker(program, instance, k, seed=seed + run)
         counts[verdict.verdict] += 1
         per_run.append({
             "verdict": verdict.verdict,

@@ -342,17 +342,21 @@ class FiniteGroup:
     such as wreath products over an already-enumerated base, where
     breadth-first closure would be needlessly slow and materializing the
     list may be needlessly large).
+
+    ``cap`` bounds every enumeration of the group; every group derived from
+    this one (a wreath product, a flattening, a stabilizer level) takes it.
     """
 
     def __init__(self, generators: Iterable[GroupElement], identity: GroupElement,
                  name: str = "",
                  elements_hint: Callable[[], Iterable[GroupElement]] | None = None,
-                 known_order: int | None = None):
+                 known_order: int | None = None, cap: int = DEFAULT_CAP):
         self.generators: tuple[GroupElement, ...] = tuple(generators)
         self.identity = identity
         self.name = name
         self.elements_hint = elements_hint
         self.known_order = known_order
+        self.cap = cap
         self._elements: list[GroupElement] | None = None
         self._members: frozenset | None = None
         self._derived: dict = {}
@@ -367,7 +371,7 @@ class FiniteGroup:
             self._derived[key] = build()
         return self._derived[key]
 
-    def iter_elements(self, cap: int = DEFAULT_CAP) -> Iterator[GroupElement]:
+    def iter_elements(self) -> Iterator[GroupElement]:
         """Stream every element once, without forcing the list into memory.
 
         The cap guards open-ended closure; a hint-backed group of known order
@@ -383,33 +387,33 @@ class FiniteGroup:
                 count = 0
                 for g in self.elements_hint():
                     count += 1
-                    if count > cap:
-                        raise ExceedsCapError(f"group exceeds cap {cap}")
+                    if count > self.cap:
+                        raise ExceedsCapError(f"group exceeds cap {self.cap}")
                     yield g
             return capped()
-        return iter(self.elements(cap))
+        return iter(self.elements())
 
-    def elements(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
+    def elements(self) -> list[GroupElement]:
         if self._elements is None:
-            if self.known_order is not None and self.known_order > cap:
+            if self.known_order is not None and self.known_order > self.cap:
                 raise ExceedsCapError(
-                    f"group has {self.known_order} elements, cap {cap}")
+                    f"group has {self.known_order} elements, cap {self.cap}")
             if self.elements_hint is not None:
-                self._elements = list(self.iter_elements(cap))
+                self._elements = list(self.iter_elements())
             else:
-                self._elements = enumerate_group(self, cap)
+                self._elements = enumerate_group(self)
         return self._elements
 
-    def order(self, cap: int = DEFAULT_CAP) -> int:
+    def order(self) -> int:
         if self.known_order is not None:
             return self.known_order
         if self._elements is not None:
             return len(self._elements)
-        return sum(1 for _ in self.iter_elements(cap))
+        return sum(1 for _ in self.iter_elements())
 
-    def contains(self, x: GroupElement, cap: int = DEFAULT_CAP) -> bool:
+    def contains(self, x: GroupElement) -> bool:
         if self._members is None:
-            self._members = frozenset(self.elements(cap))
+            self._members = frozenset(self.elements())
         return x in self._members
 
     def __repr__(self):
@@ -440,8 +444,8 @@ def close_under_op(seeds: Iterable[GroupElement], identity: GroupElement,
     return out
 
 
-def enumerate_group(g: FiniteGroup, cap: int = DEFAULT_CAP) -> list[GroupElement]:
-    return close_under_op(g.generators, g.identity, cap)
+def enumerate_group(g: FiniteGroup) -> list[GroupElement]:
+    return close_under_op(g.generators, g.identity, g.cap)
 
 
 def reduce_generators(elements: Iterable[GroupElement], identity: GroupElement,
@@ -460,32 +464,32 @@ def reduce_generators(elements: Iterable[GroupElement], identity: GroupElement,
 
 # -- standard constructions -----------------------------------------------------
 
-def symmetric_group(n: int) -> FiniteGroup:
+def symmetric_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     gens = []
     if n >= 2:
         gens.append(Permutation.from_cycles(n, [(1, 2)]))
     if n >= 3:
         gens.append(Permutation.from_cycles(n, [tuple(range(1, n + 1))]))
     return FiniteGroup(gens, Permutation.identity(n), name=f"S{n}",
-                       known_order=math.factorial(n))
+                       known_order=math.factorial(n), cap=cap)
 
 
-def cyclic_group(m: int) -> FiniteGroup:
+def cyclic_group(m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     gens = [CyclicElement(m, 1)] if m > 1 else []
     return FiniteGroup(gens, CyclicElement(m, 0), name=f"Z{m}",
                        elements_hint=lambda: [_cyclic(m, v) for v in range(m)],
-                       known_order=m)
+                       known_order=m, cap=cap)
 
 
-def dihedral_group(n: int) -> FiniteGroup:
+def dihedral_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     gens = [DihedralElement(n, 1, 0), DihedralElement(n, 0, 1)]
     return FiniteGroup(
         gens, DihedralElement(n, 0, 0), name=f"D{n}",
         elements_hint=lambda: [_dihedral(n, r, f) for f in (0, 1) for r in range(n)],
-        known_order=2 * n)
+        known_order=2 * n, cap=cap)
 
 
-def dihedral_subgroup(n: int, step: int, offset: int) -> FiniteGroup:
+def dihedral_subgroup(n: int, step: int, offset: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The subgroup <r^step, r^offset s> of the dihedral group of order 2n."""
     step, offset = step % n, offset % n
     gens = [DihedralElement(n, step, 0), DihedralElement(n, offset, 1)]
@@ -497,11 +501,12 @@ def dihedral_subgroup(n: int, step: int, offset: int) -> FiniteGroup:
                 + [_dihedral(n, (r + offset) % n, 1) for r in rots])
 
     return FiniteGroup(gens, _dihedral(n, 0, 0), name=f"<r^{step}, r^{offset}s>",
-                       elements_hint=listing, known_order=2 * count)
+                       elements_hint=listing, known_order=2 * count, cap=cap)
 
 
-def wreath_group(base: FiniteGroup, copies: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """The wreath product of ``base`` with the cyclic shift on ``copies`` slots."""
+def wreath_group(base: FiniteGroup, copies: int) -> FiniteGroup:
+    """The wreath product of ``base`` with the cyclic shift on ``copies`` slots,
+    under ``base``'s cap."""
     if copies < 1:
         raise ValueError("copies must be at least 1")
     e = base.identity
@@ -513,14 +518,14 @@ def wreath_group(base: FiniteGroup, copies: int, cap: int = DEFAULT_CAP) -> Fini
     gens.append(WreathElement((e,) * copies, 1))
 
     def all_elements():
-        return _wreath_stream(base.elements(cap), copies)
+        return _wreath_stream(base.elements(), copies)
 
     known = None
     if base.known_order is not None:
         known = base.known_order ** copies * copies
     return FiniteGroup(gens, WreathElement((e,) * copies, 0),
                        name=f"{base.name or 'G'} wr Z{copies}",
-                       elements_hint=all_elements, known_order=known)
+                       elements_hint=all_elements, known_order=known, cap=base.cap)
 
 
 def _wreath_stream(base_elems: list[GroupElement], copies: int) -> Iterator[WreathElement]:
@@ -542,7 +547,7 @@ def group_to_json(g: FiniteGroup):
             "generators": [element_to_json(x) for x in g.generators]}
 
 
-def group_from_json(data) -> FiniteGroup:
+def group_from_json(data, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Parse and validate a JSON group: the identity must be one, and every
     generator must share its shape."""
     if "degree" in data:
@@ -555,7 +560,7 @@ def group_from_json(data) -> FiniteGroup:
             raise ValueError(f"group identity {identity} is not an identity element")
     for g in gens:
         _check_shape(identity, g)
-    return FiniteGroup(gens, identity)
+    return FiniteGroup(gens, identity, cap=cap)
 
 
 # -- the doubled-point action of two-slot wreath elements ------------------------

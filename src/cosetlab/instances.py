@@ -106,7 +106,7 @@ class HspInstance:
         self.planted_subgroup = planted_subgroup
         self._kernel: list[GroupElement] | None = None
 
-    def kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
+    def kernel(self) -> list[GroupElement]:
         """Elements sharing the identity's label; equals the hidden subgroup
         when the promise holds.  The oracle selects them from a stream of the
         group, so large structured groups are never held in memory at once;
@@ -114,7 +114,7 @@ class HspInstance:
         if self._kernel is None:
             oracle = self.oracle
             base = oracle.evaluate(self.group.identity)
-            self._kernel = oracle.select(self.group.iter_elements(cap), base)
+            self._kernel = oracle.select(self.group.iter_elements(), base)
         return self._kernel
 
 
@@ -135,8 +135,8 @@ class HiddenCosetInstance:
         self.planted_subgroup = planted_subgroup
         self.planted_shift = planted_shift
 
-    def brute_shift_set(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
-        elems = self.group.elements(cap)
+    def brute_shift_set(self) -> list[GroupElement]:
+        elems = self.group.elements()
         tagged = [(g, self.f1.evaluate(g)) for g in elems]
         return [v for v in elems
                 if all(lab == self.f2.evaluate(group_op(g, v)) for g, lab in tagged)]
@@ -161,8 +161,8 @@ class GhshInstance:
         """Uniform access to the function family, 1-based index."""
         return self.functions[i - 1].evaluate(g)
 
-    def brute_shift_set(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
-        elems = self.group.elements(cap)
+    def brute_shift_set(self) -> list[GroupElement]:
+        elems = self.group.elements()
         out = []
         for v in elems:
             ok = all(self.functions[i].evaluate(g)
@@ -178,14 +178,12 @@ class GroupAction:
 
     ``generator_images[k][s]`` is the state index reached from state ``s``
     under generator ``k``.  The action of arbitrary elements is derived by
-    breadth-first extension and checked to be a homomorphism on the closure.
-    ``cap`` bounds that closure and every enumeration of the group made for
-    the action.
+    breadth-first extension and checked to be a homomorphism on the closure,
+    which the group's cap bounds.
     """
 
     def __init__(self, group: FiniteGroup, states: tuple[str, ...],
-                 generator_images: tuple[tuple[int, ...], ...],
-                 cap: int = DEFAULT_CAP):
+                 generator_images: tuple[tuple[int, ...], ...]):
         if len(generator_images) != len(group.generators):
             raise ValueError("one image row per generator required")
         m = len(states)
@@ -195,11 +193,11 @@ class GroupAction:
         self.group = group
         self.states = states
         self.generator_images = generator_images
-        self.cap = cap
         self._perms: dict = {}
-        self._build(cap)
+        self._build()
 
-    def _build(self, cap: int) -> None:
+    def _build(self) -> None:
+        cap = self.group.cap
         ident = self.group.identity
         m = len(self.states)
         self._perms[ident] = tuple(range(m))
@@ -234,11 +232,11 @@ class GroupAction:
         return {perm[state] for perm in self._perms.values()}
 
     def stabilizer_elements(self, state: int) -> list[GroupElement]:
-        return [g for g in self.group.elements(self.cap) if self.act(g, state) == state]
+        return [g for g in self.group.elements() if self.act(g, state) == state]
 
     def stabilizer_generators(self, state: int) -> list[GroupElement]:
         return reduce_generators(self.stabilizer_elements(state), self.group.identity,
-                                 self.cap)
+                                 self.group.cap)
 
 
 class NoDisjointOrbitError(ValueError):
@@ -263,34 +261,34 @@ class OrbitCosetInstance:
 # -- planted builders -----------------------------------------------------------
 
 def plant_hsp(group: FiniteGroup, subgroup_gens: Iterable[GroupElement],
-              side: Side = Side.LEFT, cap: int = DEFAULT_CAP) -> HspInstance:
+              side: Side = Side.LEFT) -> HspInstance:
     """Oracle labeling cosets of the subgroup by their least member."""
     subgroup_gens = tuple(subgroup_gens)
     for g in subgroup_gens:
-        if not group.contains(g, cap):
+        if not group.contains(g):
             raise PromiseViolationError(f"subgroup generator outside the group: {g}")
-    sub = close_under_op(subgroup_gens, group.identity, cap)
-    table = _coset_label_table(group.elements(cap), sub, side)
+    sub = close_under_op(subgroup_gens, group.identity, group.cap)
+    table = _coset_label_table(group.elements(), sub, side)
     oracle = OracleFunction(lambda g: table[element_key(g)],
                             description=f"{side.value}-coset labels")
     return HspInstance(group, oracle, side, planted_subgroup=subgroup_gens)
 
 
 def plant_coset(group: FiniteGroup, subgroup_gens: Iterable[GroupElement],
-                shift: GroupElement, cap: int = DEFAULT_CAP) -> HiddenCosetInstance:
+                shift: GroupElement) -> HiddenCosetInstance:
     """Translation-related pair with shift set exactly (subgroup)(shift).
 
     f1 labels cosets gH; f2(g) = f1(g u^-1) then satisfies f1(g) = f2(g u)
     and every member of Hu is a valid shift.
     """
     subgroup_gens = tuple(subgroup_gens)
-    if not group.contains(shift, cap):
+    if not group.contains(shift):
         raise PromiseViolationError(f"shift outside the group: {shift}")
     for g in subgroup_gens:
-        if not group.contains(g, cap):
+        if not group.contains(g):
             raise PromiseViolationError(f"subgroup generator outside the group: {g}")
-    sub = close_under_op(subgroup_gens, group.identity, cap)
-    table = _coset_label_table(group.elements(cap), sub, Side.LEFT)
+    sub = close_under_op(subgroup_gens, group.identity, group.cap)
+    table = _coset_label_table(group.elements(), sub, Side.LEFT)
     shift_inv = invert(shift)
     f1 = OracleFunction(lambda g: table[element_key(g)], description="coset labels")
     f2 = OracleFunction(lambda g: table[element_key(group_op(g, shift_inv))],
@@ -299,19 +297,17 @@ def plant_coset(group: FiniteGroup, subgroup_gens: Iterable[GroupElement],
                                planted_shift=shift)
 
 
-def plant_hidden_shift(group: FiniteGroup, shift: GroupElement,
-                       cap: int = DEFAULT_CAP) -> HiddenCosetInstance:
+def plant_hidden_shift(group: FiniteGroup, shift: GroupElement) -> HiddenCosetInstance:
     """Injective special case of the coset family: both functions injective,
     exactly one valid shift."""
-    return plant_coset(group, (), shift, cap)
+    return plant_coset(group, (), shift)
 
 
-def plant_ghsh(group: FiniteGroup, shift: GroupElement, copies: int,
-               cap: int = DEFAULT_CAP) -> GhshInstance:
+def plant_ghsh(group: FiniteGroup, shift: GroupElement, copies: int) -> GhshInstance:
     """Injective chain f_i(g) = serialized(u^(1-i) g)."""
     if copies < 2:
         raise ValueError("need at least two functions")
-    if not group.contains(shift, cap):
+    if not group.contains(shift):
         raise PromiseViolationError(f"shift outside the group: {shift}")
     funcs = []
     for i in range(1, copies + 1):
@@ -339,7 +335,7 @@ def plant_orbit_coset(action: GroupAction, phi1: int,
 
 # -- promise verification ---------------------------------------------------------
 
-def verify_promise(instance, cap: int = DEFAULT_CAP) -> bool:
+def verify_promise(instance) -> bool:
     """Exhaustively re-check the defining invariant of an instance.
 
     Hidden subgroup instances are checked exactly in one sweep: a planted
@@ -348,11 +344,11 @@ def verify_promise(instance, cap: int = DEFAULT_CAP) -> bool:
     checked once rather than once per member.
     """
     if isinstance(instance, HspInstance):
-        return _verify_hsp(instance, cap)
+        return _verify_hsp(instance)
     if isinstance(instance, HiddenCosetInstance):
-        return _verify_coset(instance, cap)
+        return _verify_coset(instance)
     if isinstance(instance, GhshInstance):
-        return _verify_ghsh(instance, cap)
+        return _verify_ghsh(instance)
     if isinstance(instance, OrbitCosetInstance):
         return _verify_orbit_coset(instance)
     raise TypeError(f"not an instance: {instance!r}")
@@ -365,7 +361,7 @@ def _is_closed(kernel: list[GroupElement], kernel_set: set) -> bool:
     return all(group_op(a, b) in kernel_set for a in kernel for b in kernel)
 
 
-def _verify_hsp(inst: HspInstance, cap: int) -> bool:
+def _verify_hsp(inst: HspInstance) -> bool:
     """The kernel (elements labeled like the identity) is a subgroup, the
     labels are constant on each of its cosets on the declared side, and no
     two cosets share a label.
@@ -378,7 +374,7 @@ def _verify_hsp(inst: HspInstance, cap: int) -> bool:
     a single sweep that builds a coset only from an element no earlier coset
     covered checks every coset exactly once.
     """
-    elems = inst.group.elements(cap)
+    elems = inst.group.elements()
     labels = {g: inst.oracle.evaluate(g) for g in elems}
     base = labels[inst.group.identity]
     kernel = [g for g, lab in labels.items() if lab == base]
@@ -388,7 +384,8 @@ def _verify_hsp(inst: HspInstance, cap: int) -> bool:
             return False
     else:
         try:
-            planted = close_under_op(inst.planted_subgroup, inst.group.identity, cap)
+            planted = close_under_op(inst.planted_subgroup, inst.group.identity,
+                                     inst.group.cap)
         except (ExceedsCapError, ValueError):
             # Planted generators of another shape, or a closure past the cap:
             # an unclosed kernel still fails the promise before that is raised.
@@ -415,12 +412,12 @@ def _verify_hsp(inst: HspInstance, cap: int) -> bool:
     return True
 
 
-def _verify_coset(inst: HiddenCosetInstance, cap: int) -> bool:
-    shifts = inst.brute_shift_set(cap)
+def _verify_coset(inst: HiddenCosetInstance) -> bool:
+    shifts = inst.brute_shift_set()
     if not shifts:
         return False
     base = inst.f1.evaluate(inst.group.identity)
-    kernel = [g for g in inst.group.elements(cap) if inst.f1.evaluate(g) == base]
+    kernel = [g for g in inst.group.elements() if inst.f1.evaluate(g) == base]
     v = shifts[0]
     expected = {group_op(h, v) for h in kernel}
     if set(shifts) != expected:
@@ -429,19 +426,20 @@ def _verify_coset(inst: HiddenCosetInstance, cap: int) -> bool:
         if inst.planted_shift not in expected:
             return False
     if inst.planted_subgroup is not None:
-        planted = close_under_op(inst.planted_subgroup, inst.group.identity, cap)
+        planted = close_under_op(inst.planted_subgroup, inst.group.identity,
+                                 inst.group.cap)
         if set(planted) != set(kernel):
             return False
     return True
 
 
-def _verify_ghsh(inst: GhshInstance, cap: int) -> bool:
-    elems = inst.group.elements(cap)
+def _verify_ghsh(inst: GhshInstance) -> bool:
+    elems = inst.group.elements()
     for f in inst.functions:
         values = [f.evaluate(g) for g in elems]
         if len(set(values)) != len(values):
             return False
-    shifts = inst.brute_shift_set(cap)
+    shifts = inst.brute_shift_set()
     if len(shifts) != 1:
         return False
     if inst.planted_shift is not None:
@@ -500,26 +498,26 @@ def instance_to_json(instance) -> dict:
 
 
 def instance_from_json(data: dict, cap: int = DEFAULT_CAP):
+    """Rebuild a planted instance; its group enumerates under ``cap``."""
     problem = data.get("problem")
     if problem == "hsp":
-        group = group_from_json(data["group"])
+        group = group_from_json(data["group"], cap)
         gens = tuple(element_from_json(x) for x in data["planted"]["subgroup"])
-        return plant_hsp(group, gens, Side(data.get("side", "left")), cap)
+        return plant_hsp(group, gens, Side(data.get("side", "left")))
     if problem == "hidden_coset":
-        group = group_from_json(data["group"])
+        group = group_from_json(data["group"], cap)
         gens = tuple(element_from_json(x) for x in data["planted"]["subgroup"])
         shift = element_from_json(data["planted"]["shift"])
-        return plant_coset(group, gens, shift, cap)
+        return plant_coset(group, gens, shift)
     if problem == "ghsh":
-        group = group_from_json(data["group"])
+        group = group_from_json(data["group"], cap)
         shift = element_from_json(data["planted"]["shift"])
-        return plant_ghsh(group, shift, data["copies"], cap)
+        return plant_ghsh(group, shift, data["copies"])
     if problem == "orbit_coset":
         spec = data["action"]
-        action = GroupAction(group_from_json(spec["group"]),
+        action = GroupAction(group_from_json(spec["group"], cap),
                              tuple(spec["states"]),
-                             tuple(tuple(r) for r in spec["generator_images"]),
-                             cap)
+                             tuple(tuple(r) for r in spec["generator_images"]))
         planted = data["planted"]["shift"]
         shift = None if planted is None else element_from_json(planted)
         return plant_orbit_coset(action, data["phi1"], shift)

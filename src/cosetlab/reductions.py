@@ -228,7 +228,7 @@ def orbit_coset_to_hsp(oc: OrbitCosetInstance) -> HspInstance:
         gens.append(WreathElement((s, e), 0))
     for s in act.stabilizer_generators(phi1):
         gens.append(WreathElement((e, s), 0))
-    mapping = [g for g in group.elements(act.cap) if act.act(g, phi1) == phi0]
+    mapping = [g for g in group.elements() if act.act(g, phi1) == phi0]
     if mapping:
         u = min(mapping, key=element_key)
         gens.append(WreathElement((invert(u), u), 1))
@@ -238,16 +238,16 @@ def orbit_coset_to_hsp(oc: OrbitCosetInstance) -> HspInstance:
     return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=tuple(gens))
 
 
-def recover_orbit_solution(k_gens: Sequence[WreathElement], oc: OrbitCosetInstance,
-                           cap: int = DEFAULT_CAP
+def recover_orbit_solution(k_gens: Sequence[WreathElement], oc: OrbitCosetInstance
                            ) -> tuple[GroupElement | None, list[GroupElement]]:
     """From hidden-subgroup generators of a paired-orbit instance, produce a
     mapping element (or None as a disjointness certificate) and generators of
     the stabilizer of the second state."""
-    identity = WreathElement((oc.action.group.identity,) * 2, 0)
-    closure = close_under_op(k_gens, identity, cap)
+    group = oc.action.group
+    identity = WreathElement((group.identity,) * 2, 0)
+    closure = close_under_op(k_gens, identity, group.cap)
     stab = [w.slots[1] for w in closure if w.shift == 0]
-    stab_gens = reduce_generators(stab, oc.action.group.identity, cap)
+    stab_gens = reduce_generators(stab, group.identity, group.cap)
     swapping = sorted((w for w in closure if w.shift == 1), key=element_key)
     if not swapping:
         return None, stab_gens
@@ -353,18 +353,18 @@ class StructuredHspInstance:
     def group(self) -> FiniteGroup:
         return self.base.group
 
-    def kernel(self, cap: int = DEFAULT_CAP) -> list[GroupElement]:
+    def kernel(self) -> list[GroupElement]:
         """Base-kernel elements satisfying every constraint (the diagonal,
         read off its first coordinate); computed on the first call and cached."""
         if self._kernel is None:
-            self._kernel = list(filter(self.accepts, self.base.kernel(cap)))
+            self._kernel = list(filter(self.accepts, self.base.kernel()))
         return self._kernel
 
 
 # -- flattening wreath instances to permutation instances ---------------------------
 
 
-def embed_wreath_group(group: FiniteGroup, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def embed_wreath_group(group: FiniteGroup) -> FiniteGroup:
     """The permutation group on the doubled points isomorphic to a two-slot
     wreath product of permutations; it streams the wreath elements embedded."""
     identity = group.identity
@@ -374,8 +374,8 @@ def embed_wreath_group(group: FiniteGroup, cap: int = DEFAULT_CAP) -> FiniteGrou
     return FiniteGroup(
         [wreath_embed(w) for w in group.generators], Permutation.identity(2 * rows),
         name=f"{group.name or 'wreath'} on {2 * rows} points",
-        elements_hint=lambda: map(wreath_embed, group.iter_elements(cap)),
-        known_order=group.known_order)
+        elements_hint=lambda: map(wreath_embed, group.iter_elements()),
+        known_order=group.known_order, cap=group.cap)
 
 
 def embed_wreath_oracle(oracle: OracleFunction, rows: int) -> OracleFunction:
@@ -385,11 +385,11 @@ def embed_wreath_oracle(oracle: OracleFunction, rows: int) -> OracleFunction:
                           description=f"flattened {oracle.description}")
 
 
-def embed_wreath_instance(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspInstance:
+def embed_wreath_instance(inst: HspInstance) -> HspInstance:
     """Transport an instance over a two-slot wreath of permutations to the
     isomorphic permutation group on the doubled points: the flattened group
     joined with the flattened oracle."""
-    group = embed_wreath_group(inst.group, cap)
+    group = embed_wreath_group(inst.group)
     planted = None
     if inst.planted_subgroup is not None:
         planted = tuple(wreath_embed(w) for w in inst.planted_subgroup)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, GroupElement,
+from .groups import (DihedralElement, FiniteGroup, GroupElement,
                      dihedral_subgroup, wreath_group)
 from .instances import HspInstance, Label, OracleFunction, Side
 from .perms import Permutation, StabilizerChain, build_stabilizer_chain
@@ -93,12 +93,10 @@ class DecisionOracle:
     One protocol serves all of them: a structured decision query
     (:class:`QueryRecord`), a shift query, a dihedral subgroup query, or a
     bare :class:`HspInstance` handed to a search program.  ``answer`` logs
-    each call with a stamp, then defers to ``_answer``; ``cap`` bounds the
-    enumerations a brute-force answerer makes.
+    each call with a stamp, then defers to ``_answer``.
     """
 
-    def __init__(self, cap: int = DEFAULT_CAP):
-        self.cap = cap
+    def __init__(self):
         self.call_log: list[CallLogEntry] = []
 
     def answer(self, query):
@@ -124,12 +122,13 @@ DihedralDecisionOracle = DecisionOracle
 # -- hidden subgroup search over permutation groups ---------------------------------
 
 
-def _chain_level_group(chain: StabilizerChain, level: int) -> FiniteGroup:
+def _chain_level_group(group: FiniteGroup, chain: StabilizerChain,
+                       level: int) -> FiniteGroup:
     gens = chain.subgroup_generators(level)
     return FiniteGroup(gens, Permutation.identity(chain.degree),
                        name=f"stabilizer level {level}",
                        elements_hint=lambda: list(chain.elements(level)),
-                       known_order=chain.level_order(level))
+                       known_order=chain.level_order(level), cap=group.cap)
 
 
 _MISS = object()
@@ -161,7 +160,7 @@ class HspSearchPlan:
     label: Callable[[Permutation], Label]
 
 
-def _plan_levels(group: FiniteGroup, cap: int) -> tuple:
+def _plan_levels(group: FiniteGroup) -> tuple:
     """The part of a truth-table plan that depends on the group alone.
 
     ``levels[i-1]`` is ``(wreath, prefixes)``: the pointwise stabilizer of
@@ -184,7 +183,7 @@ def _plan_levels(group: FiniteGroup, cap: int) -> tuple:
                   for a in range(1, n + 1) for b in range(1, n + 1)}
     levels = []
     for i in range(1, n):
-        wreath = wreath_group(_chain_level_group(chain, i - 1), 2, cap)
+        wreath = wreath_group(_chain_level_group(group, chain, i - 1), 2)
         lasts = [(k, ell) for k in range(i, n + 1) for ell in range(i, n + 1)]
         prefixes = tuple(
             ((stabilizer[i, j], stabilizer[j2, i]),
@@ -194,19 +193,19 @@ def _plan_levels(group: FiniteGroup, cap: int) -> tuple:
     return tuple(levels)
 
 
-def build_hsp_search_plan(inst: HspInstance, cap: int = DEFAULT_CAP) -> HspSearchPlan:
+def build_hsp_search_plan(inst: HspInstance) -> HspSearchPlan:
     """Construct the full truth-table query family for a permutation instance.
 
     For each level i the base is the paired oracle over (pointwise stabilizer
     of 1..i-1) wreath the slot swap, constrained by three doubled-point
     setwise stabilizers indexed by (i, j), (i, j'), (k, l).  The group's
-    levels are built on its first search with ``cap`` and kept with the
-    group object, so every later search over it only joins its instance.
+    levels are built on its first search and kept with the group object, so
+    every later search over it only joins its instance.
     Each query nests on the prefix instance of its (i, j, j'), so the
     prefix's filtered kernel is computed once for all its (k, l).
     """
     group = inst.group
-    levels = group.derived(("plan levels", cap), lambda: _plan_levels(group, cap))
+    levels = group.derived("plan levels", lambda: _plan_levels(group))
     batch = QueryBatch()
     # Slot values repeat across the quadratically many wreath elements and
     # across levels, so the search reads each element's label once.
@@ -259,8 +258,7 @@ def finish_hsp_search(plan: HspSearchPlan, answers: dict) -> Permutation | None:
     return found
 
 
-def hsp_search_via_decision(inst: HspInstance, oracle: DecisionOracle,
-                            cap: int = DEFAULT_CAP) -> Permutation | None:
+def hsp_search_via_decision(inst: HspInstance, oracle: DecisionOracle) -> Permutation | None:
     """Find a nontrivial hidden-subgroup member with a decision oracle only.
 
     The whole query batch is constructed and sealed before the first call.
@@ -268,7 +266,7 @@ def hsp_search_via_decision(inst: HspInstance, oracle: DecisionOracle,
     correct oracle); raises OracleInconsistentError when the answers cannot be
     explained by any hidden subgroup.
     """
-    plan = build_hsp_search_plan(inst, cap)
+    plan = build_hsp_search_plan(inst)
     answers = plan.batch.run(oracle)
     return finish_hsp_search(plan, answers)
 
@@ -307,7 +305,7 @@ def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
     label1, label2 = memoized_labels(f1), memoized_labels(f2)
     acc = Permutation.identity(n)
     for i in range(n):
-        level_group = _chain_level_group(chain, i + 1)
+        level_group = _chain_level_group(group, chain, i + 1)
         current = acc
         base_query = ShiftQuery((i + 1, "stay"), level_group, label1,
                                 lambda g, a=current: label2(g.op(a)))
@@ -386,7 +384,8 @@ class DihedralSubgroupQuery:
         ident = self.instance.group.identity
         if not isinstance(ident, DihedralElement):
             raise TypeError("dihedral query needs a dihedral instance")
-        return dihedral_subgroup(ident.rotations, self.step, self.offset)
+        return dihedral_subgroup(ident.rotations, self.step, self.offset,
+                                 cap=self.instance.group.cap)
 
 
 def dihedral_search_via_decision(inst: HspInstance, bound: int,

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from cosetlab.groups import (DEFAULT_CAP, FiniteGroup, GroupElement, TupleElement,
+from cosetlab.groups import (FiniteGroup, GroupElement, TupleElement,
                              WreathElement, element_key, group_op, invert)
 from cosetlab.instances import HspInstance, Label, OracleFunction
 from cosetlab.perms import Permutation
@@ -24,13 +24,12 @@ class GroupConstraint(Constraint):
     """Constraint given by an explicit generated group."""
 
     group: FiniteGroup
-    cap: int = DEFAULT_CAP
 
     def contains(self, x: GroupElement) -> bool:
-        return self.group.contains(x, self.cap)
+        return self.group.contains(x)
 
 
-def product_group(factors: list[FiniteGroup], cap: int = DEFAULT_CAP) -> FiniteGroup:
+def product_group(factors: list[FiniteGroup]) -> FiniteGroup:
     """Direct product over TupleElement components."""
     idents = tuple(f.identity for f in factors)
     gens = []
@@ -40,7 +39,7 @@ def product_group(factors: list[FiniteGroup], cap: int = DEFAULT_CAP) -> FiniteG
                                            for j in range(len(factors)))))
 
     def all_elements():
-        parts = [f.elements(cap) for f in factors]
+        parts = [f.elements() for f in factors]
         return (TupleElement(combo) for combo in itertools.product(*parts))
 
     known = None

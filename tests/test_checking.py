@@ -245,9 +245,17 @@ def test_checker_hsp_nonadaptive_trials():
 
 def test_checker_requires_left_side_instances():
     s3 = symmetric_group(3)
-    inst = plant_hsp(s3, (parse_cycles("(1 2)", 3),), Side.RIGHT)
-    with pytest.raises(ValueError):
-        checker_hspD(BruteForceDecisionOracle(), inst, k=2)
+    rejected = [
+        (plant_hsp(s3, (parse_cycles("(1 2)", 3),), Side.RIGHT), "left cosets"),
+        (plant_hsp(cyclic_group(4), (), Side.LEFT), "permutation groups"),
+        (plant_coset(s3, (), parse_cycles("(1 2)", 3)), "hidden-subgroup instances"),
+    ]
+    for inst, message in rejected:
+        for checker, program in ((checker_hspD, BruteForceDecisionOracle()),
+                                 (checker_hsp, BruteSearchProgram())):
+            with pytest.raises(ValueError, match=message):
+                checker(program, inst, k=2)
+            assert program.calls == 0
 
 
 def test_verdict_reflects_transcript_only():

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from cosetlab import instances
 from cosetlab.cli import main, parse_element, parse_group
-from cosetlab.groups import DihedralElement
+from cosetlab.groups import DEFAULT_CAP, DihedralElement, FiniteGroup
 
 
 def run(args, stdin=None):
@@ -20,17 +20,17 @@ def payload(result):
 
 
 def test_group_shorthands():
-    assert parse_group("s4").order() == 24
-    assert parse_group("z12").order() == 12
-    assert parse_group("d12").order() == 24
-    assert parse_group("wr:z4:2").order() == 32
+    assert parse_group("s4", DEFAULT_CAP).order() == 24
+    assert parse_group("z12", DEFAULT_CAP).order() == 12
+    assert parse_group("d12", DEFAULT_CAP).order() == 24
+    assert parse_group("wr:z4:2", DEFAULT_CAP).order() == 32
 
 
 def test_element_parsing():
-    d12 = parse_group("d12")
+    d12 = parse_group("d12", DEFAULT_CAP)
     assert parse_element("r5s", d12) == DihedralElement(12, 5, 1)
     assert parse_element("r3", d12) == DihedralElement(12, 3, 0)
-    z4 = parse_group("z4")
+    z4 = parse_group("z4", DEFAULT_CAP)
     assert parse_element("3", z4).value == 3
 
 
@@ -39,6 +39,9 @@ def test_plant_hsp_reports_labels():
     assert result.exit_code == 0
     report = payload(result)
     assert report["outputs"]["distinct_labels"] == 3
+    # Verifying the promise reads each of the 6 labels once; counting the
+    # labels reads none.
+    assert report["counters"]["oracle_evaluations"] == 6
     assert report["outputs"]["instance"]["problem"] == "hsp"
     assert report["instance_digest"]
 
@@ -159,6 +162,51 @@ def test_cap_above_the_default_reaches_orbit_stabilizers():
     assert out["disjoint"] is False
     assert out["shift"]["value"] == 1
     assert [g["value"] for g in out["stabilizer_generators"]] == [2]
+
+
+S3_C2 = ["plant", "hsp", "--group", "s3", "--subgroup", "(1 2)"]
+
+
+def test_cap_reaches_every_group_a_command_builds(monkeypatch):
+    """Each command, run under a non-default --cap, builds only groups that
+    carry it: parsed and rebuilt groups, wreath products, their flattenings,
+    stabilizer levels and dihedral query subgroups."""
+    built = []
+    init = FiniteGroup.__init__
+
+    def recorded(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        built.append(group)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", recorded)
+    pipelines = [
+        [["plant", "hsp", "--group", "wr:z3:2"], ["solve"]],
+        [["plant", "coset", "--group", "z4", "--subgroup", "2", "--shift", "1"],
+         ["reduce"], ["solve"]],
+        [["plant", "ghsh", "--group", "z5", "--shift", "2", "--copies", "3"],
+         ["reduce"], ["solve"]],
+        [["plant", "orbit-coset", "--action", "cyclic:4", "--phi1", "1", "--shift", "2"],
+         ["reduce"], ["solve"]],
+        [["plant", "hsp", "--group", "s3", "--subgroup", "(1 2 3)"],
+         ["search-via-decision"]],
+        [["plant", "coset", "--group", "s3", "--subgroup", "", "--shift", "(1 2 3)"],
+         ["search-via-decision"]],
+        [["plant", "hsp", "--group", "d12", "--subgroup", "r5s"],
+         ["search-via-decision", "--smooth-bound", "3"]],
+        [S3_C2, ["check", "--k", "1"]],
+        [["plant", "hsp", "--group", "s3"], ["check", "--k", "1"]],
+        [S3_C2, ["check", "--flavor", "search", "--k", "1"]],
+    ]
+    for commands in pipelines:
+        stdin = None
+        for args in commands:
+            result = run(["--cap", "123457", *args], stdin)
+            assert result.exit_code == 0, (args, result.output)
+            stdin = json.dumps(payload(result)["outputs"].get("instance"))
+    names = " | ".join(g.name for g in built)
+    for kind in ("Z3 wr Z2", "G wr Z2", "stabilizer level", "on 6 points", "<r^"):
+        assert kind in names
+    assert {g.cap for g in built} == {123_457}
 
 
 @pytest.mark.parametrize("planter, plant_args", [
@@ -342,6 +390,7 @@ def test_invalid_input_exits_2_with_json_error(args, stdin, tmp_path):
     (["plant", "hsp", "--group", "s3", "--subgroup", "(1 3)", "--side", "right"],
      ["check"]),
     (["plant", "hsp", "--group", "z4", "--subgroup", "2"], ["check"]),
+    (["plant", "coset", "--group", "s3", "--shift", "(1 2)"], ["check"]),
     (["plant", "hsp", "--group", "z4", "--subgroup", "2"], ["search-via-decision"]),
     (["plant", "coset", "--group", "z4", "--shift", "1"], ["search-via-decision"]),
     (["plant", "hsp", "--group", "d6", "--subgroup", "r1s"],

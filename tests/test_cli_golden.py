@@ -26,7 +26,7 @@ PIPELINES = [
     ("readme-s3-querylog",
      [["plant", "hsp", "--group", "s3", "--subgroup", "(1 2 3)"],
       ["search-via-decision", "--emit-querylog"]],
-     ["300046e525ebbdc2", "d5f02a086214831f"]),
+     ["64a82fa1d7d64a07", "d5f02a086214831f"]),
     ("readme-z4-coset",
      [["plant", "coset", "--group", "z4", "--subgroup", "2", "--shift", "1"],
       ["reduce"], ["solve"]],
@@ -34,51 +34,51 @@ PIPELINES = [
     ("readme-d60-dihedral",
      [["plant", "hsp", "--group", "d60", "--subgroup", "r37s"],
       ["search-via-decision", "--smooth-bound", "5"]],
-     ["7f3a5a1536b8b7cd", "6765146c787423b1"]),
+     ["9b7500c7d39bc62c", "6765146c787423b1"]),
     ("readme-s3-check-always-trivial",
      [S3_C2, ["--seed", "1", "check", "--program", "buggy:always-trivial",
               "--k", "7", "--runs", "100"]],
-     ["93d15b239c30e4be", "e8afb20970917903"]),
+     ["d374655a4ae6faea", "e8afb20970917903"]),
     ("s4-querylog",
      [["plant", "hsp", "--group", "s4", "--subgroup", "(1 2)(3 4)"],
       ["search-via-decision", "--emit-querylog"]],
-     ["499a06e6828079b0", "7532e3e3a27970bc"]),
+     ["2f288207a0368962", "7532e3e3a27970bc"]),
     ("s4-trivial-querylog",
      [["plant", "hsp", "--group", "s4"], ["search-via-decision", "--emit-querylog"]],
-     ["21fb81efe8500c81", "0083f4fdca55b312"]),
+     ["2cb5e3611a9cbc6b", "0083f4fdca55b312"]),
     ("s3-shift-search",
      [["plant", "coset", "--group", "s3", "--subgroup", "", "--shift", "(1 2 3)"],
       ["--seed", "4", "search-via-decision"]],
      ["68570faa49efecfe", "52dc7c1bf5b61f51"]),
     ("check-decision-bruteforce",
      [S3_C2, ["--seed", "5", "check", "--k", "3", "--runs", "2"]],
-     ["93d15b239c30e4be", "13dedcb51adcfd90"]),
+     ["d374655a4ae6faea", "13dedcb51adcfd90"]),
     ("check-decision-bruteforce-trivial",
      [S3_TRIVIAL, ["--seed", "6", "check", "--k", "2"]],
-     ["90ae87a83418322f", "245d35e9f558dde9"]),
+     ["f3bf7242b5f42ac5", "245d35e9f558dde9"]),
     ("check-decision-always-nontrivial",
      [S3_TRIVIAL, ["--seed", "7", "check", "--program", "buggy:always-nontrivial",
                    "--k", "3", "--runs", "2"]],
-     ["90ae87a83418322f", "76b77296ec6e375b"]),
+     ["f3bf7242b5f42ac5", "76b77296ec6e375b"]),
     ("check-decision-flip",
      [S3_TRIVIAL, ["--seed", "8", "check", "--program", "buggy:flip:0.3",
                    "--k", "3", "--runs", "3"]],
-     ["90ae87a83418322f", "d66cd83a2329c87e"]),
+     ["f3bf7242b5f42ac5", "d66cd83a2329c87e"]),
     ("check-search-bruteforce",
      [S3_C2, ["--seed", "9", "check", "--flavor", "search", "--k", "3"]],
-     ["93d15b239c30e4be", "957a037fe82ee441"]),
+     ["d374655a4ae6faea", "957a037fe82ee441"]),
     ("check-search-always-trivial",
      [S3_C2, ["--seed", "10", "check", "--flavor", "search",
               "--program", "buggy:always-trivial", "--k", "3", "--runs", "2"]],
-     ["93d15b239c30e4be", "d223abf14f3a7fa1"]),
+     ["d374655a4ae6faea", "d223abf14f3a7fa1"]),
     ("check-search-always-nontrivial",
      [S3_TRIVIAL, ["--seed", "11", "check", "--flavor", "search",
                    "--program", "buggy:always-nontrivial", "--k", "3", "--runs", "2"]],
-     ["90ae87a83418322f", "120eb7339020308b"]),
+     ["f3bf7242b5f42ac5", "120eb7339020308b"]),
     ("check-search-flip",
      [S3_C2, ["--seed", "12", "check", "--flavor", "search",
               "--program", "buggy:flip:0.3", "--k", "3", "--runs", "3"]],
-     ["93d15b239c30e4be", "fd337a8bce82257b"]),
+     ["d374655a4ae6faea", "fd337a8bce82257b"]),
     ("z5-shift-chain",
      [["plant", "ghsh", "--group", "z5", "--shift", "2", "--copies", "3"],
       ["reduce"], ["solve"]],
@@ -107,23 +107,23 @@ PIPELINES = [
     ("d12-dihedral-smooth-bound-3",
      [["plant", "hsp", "--group", "d12", "--subgroup", "r5s"],
       ["search-via-decision", "--smooth-bound", "3"]],
-     ["ab1a9e3f7ceacceb", "0408322f98d170b7"]),
+     ["3f84e1ad83984ead", "0408322f98d170b7"]),
     ("check-decision-wrong-if-order-gt-6-seed-13",
      [S3_C2, ["--seed", "13", "check", "--flavor", "decision",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
-     ["93d15b239c30e4be", "5945454cb46efb63"]),
+     ["d374655a4ae6faea", "5945454cb46efb63"]),
     ("check-decision-wrong-if-order-gt-6-seed-14",
      [S3_C2, ["--seed", "14", "check", "--flavor", "decision",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
-     ["93d15b239c30e4be", "9144714c4ed088bb"]),
+     ["d374655a4ae6faea", "9144714c4ed088bb"]),
     ("check-search-wrong-if-order-gt-6-seed-13",
      [S3_C2, ["--seed", "13", "check", "--flavor", "search",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
-     ["93d15b239c30e4be", "70476c8ad58a50da"]),
+     ["d374655a4ae6faea", "70476c8ad58a50da"]),
     ("check-search-wrong-if-order-gt-6-seed-14",
      [S3_C2, ["--seed", "14", "check", "--flavor", "search",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
-     ["93d15b239c30e4be", "fc9ef51342633cdb"]),
+     ["d374655a4ae6faea", "fc9ef51342633cdb"]),
 ]
 
 

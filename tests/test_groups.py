@@ -175,9 +175,16 @@ def test_wreath_orders_formula():
 
 def test_exceeds_cap():
     with pytest.raises(ExceedsCapError):
-        enumerate_group(symmetric_group(6), cap=100)
+        enumerate_group(symmetric_group(6, cap=100))
     with pytest.raises(ExceedsCapError):
-        wreath_group(symmetric_group(5), 3).elements(cap=1000)
+        wreath_group(symmetric_group(5, cap=1000), 3).elements()
+
+
+def test_derived_group_enumerates_under_its_source_cap():
+    # The wreath's base has more elements than the default cap.
+    wide = wreath_group(cyclic_group(100_001, cap=200_000), 1)
+    assert wide.cap == 200_000
+    assert len(wide.elements()) == 100_001
 
 
 def test_element_json_roundtrip():

@@ -232,9 +232,9 @@ def test_verify_coset_evaluates_identity_once():
 # -- verify_promise against a literal pairwise reference ---------------------------
 
 
-def reference_verify_hsp(inst, cap=100_000):
+def reference_verify_hsp(inst):
     """Pairwise closure plus one coset per element, straight from the definition."""
-    elems = inst.group.elements(cap)
+    elems = inst.group.elements()
     labels = {element_key(g): inst.oracle.evaluate(g) for g in elems}
     kernel = [g for g in elems
               if labels[element_key(g)] == labels[element_key(inst.group.identity)]]
@@ -244,7 +244,8 @@ def reference_verify_hsp(inst, cap=100_000):
             if element_key(group_op(a, b)) not in kernel_keys:
                 return False
     if inst.planted_subgroup is not None:
-        planted = close_under_op(inst.planted_subgroup, inst.group.identity, cap)
+        planted = close_under_op(inst.planted_subgroup, inst.group.identity,
+                                 inst.group.cap)
         if {element_key(g) for g in planted} != kernel_keys:
             return False
     seen_labels: dict = {}

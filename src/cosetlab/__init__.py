@@ -22,21 +22,20 @@ from .instances import (GhshInstance, GroupAction, HiddenCosetInstance, HspInsta
                         plant_hidden_shift, plant_hsp, plant_orbit_coset,
                         verify_promise)
 from .reductions import (Constraint, GammaSetStabilizer, InvalidKGeneratorsError,
-                         PairedOracle, StructuredHspInstance, embed_wreath_instance,
-                         ghsh_to_hsp, hidden_coset_to_hsp, orbit_coset_to_hsp,
-                         recover_coset_solution, recover_ghsh_functions,
-                         recover_orbit_solution)
-from .search_decision import (DecisionAnswer, DecisionOracle,
-                              DihedralDecisionOracle, DihedralSubgroupQuery,
+                         PairedOracle, StructuredHspInstance, SubgroupConstraint,
+                         embed_wreath_instance, ghsh_to_hsp, hidden_coset_to_hsp,
+                         orbit_coset_to_hsp, recover_coset_solution,
+                         recover_ghsh_functions, recover_orbit_solution)
+from .search_decision import (DecisionAnswer, DecisionOracle, DihedralDecisionOracle,
                               NoShiftError, NotSmoothError, OracleInconsistentError,
                               QueryBatch, QueryRecord, ShiftDecisionOracle,
                               ShiftQuery, crt_combine,
                               dihedral_search_via_decision, hsh_search_via_decision,
                               hsp_search_via_decision, smooth_factorize)
-from .checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
-                       BruteForceShiftOracle, BruteSearchProgram, BuggyProgram,
-                       BugSpec, CheckerVerdict, TrialRecord, brute_coset_solve,
-                       brute_decide, brute_ghsh_solve, brute_hsp_solve,
-                       brute_orbit_solve, checker_hsp, checker_hspD, wrap_buggy)
+from .checking import (BruteForceDecisionOracle, BruteForceShiftOracle,
+                       BruteSearchProgram, BuggyProgram, BugSpec, CheckerVerdict,
+                       TrialRecord, brute_coset_solve, brute_decide, brute_ghsh_solve,
+                       brute_hsp_solve, brute_orbit_solve, checker_hsp, checker_hspD,
+                       wrap_buggy)
 
 __version__ = "0.1.0"

@@ -20,12 +20,12 @@ from .groups import (FiniteGroup, GroupElement, WreathElement,
                      close_under_op, element_key, group_op, invert,
                      reduce_generators, wreath_group, wreath_unembed)
 from .instances import (GhshInstance, HiddenCosetInstance, HspInstance, Label,
-                        OracleFunction, OrbitCosetInstance, Side)
+                        OracleFunction, OrbitCosetInstance, Side, relating_shifts)
 from .perms import (Permutation, StabilizerChain, build_stabilizer_chain,
                     random_element)
 from .reductions import (InvalidKGeneratorsError, PairedOracle, StructuredHspInstance,
                          embed_wreath_group, embed_wreath_oracle, recover_coset_solution)
-from .search_decision import (DecisionAnswer, DecisionOracle, DihedralSubgroupQuery,
+from .search_decision import (DecisionAnswer, DecisionOracle,
                               OracleInconsistentError, QueryRecord, ShiftQuery,
                               build_hsp_search_plan, event_stamp, finish_hsp_search,
                               hsp_search_via_decision, memoized_labels)
@@ -87,7 +87,8 @@ def brute_decide(structured: StructuredHspInstance) -> DecisionAnswer:
 
 
 class BruteForceDecisionOracle(DecisionOracle):
-    """Answers structured decision queries by enumerate-and-filter."""
+    """Answers structured decision queries by enumerate-and-filter: the
+    search plans' and the checker's, and the dihedral search's."""
 
     def _answer(self, query: QueryRecord) -> DecisionAnswer:
         return brute_decide(query.instance)
@@ -97,22 +98,8 @@ class BruteForceShiftOracle(DecisionOracle):
     """Answers shift-existence queries by trying every subgroup element."""
 
     def _answer(self, query: ShiftQuery) -> bool:
-        elems = query.group.elements()
-        tagged = [(g, query.f1(g)) for g in elems]
-        return any(all(lab == query.f2(group_op(g, w)) for g, lab in tagged)
-                   for w in elems)
-
-
-class BruteForceDihedralOracle(DecisionOracle):
-    """Scans the query subgroup for a non-identity element with the identity label."""
-
-    def _answer(self, query: DihedralSubgroupQuery) -> DecisionAnswer:
-        f = query.instance.oracle
-        base = f.evaluate(query.instance.group.identity)
-        for g in query.subgroup().elements():
-            if not g.is_identity() and f.evaluate(g) == base:
-                return DecisionAnswer.NONTRIVIAL
-        return DecisionAnswer.TRIVIAL
+        shifts = relating_shifts(query.group.elements(), query.f1, query.f2)
+        return next(shifts, None) is not None
 
 
 class BruteSearchProgram(DecisionOracle):
@@ -132,9 +119,10 @@ class BugSpec:
     Modes: ``always_trivial``, ``always_nontrivial``, ``flip_with_prob``
     (probability ``flip_probability``, own seeded stream), and
     ``wrong_on_matching`` (answers flipped or mutated exactly where
-    ``predicate`` matches the queried instance).  ``mutate`` applies to
-    search programs and rewrites the answered generator list; the default
-    drops the last generator.
+    ``predicate`` matches what the program is asked, as
+    :class:`BuggyProgram` says).  ``mutate`` applies to search programs and
+    rewrites the answered generator list; the default drops the last
+    generator.
     """
 
     mode: str
@@ -160,7 +148,7 @@ def _drop_last_generator(gens):
 
 
 def _fixed_answer(query, nontrivial: bool):
-    """A decision, dihedral or shift program's answer that ignores the input."""
+    """A decision or shift program's answer that ignores the input."""
     if isinstance(query, ShiftQuery):
         return nontrivial
     return DecisionAnswer.NONTRIVIAL if nontrivial else DecisionAnswer.TRIVIAL
@@ -169,13 +157,15 @@ def _fixed_answer(query, nontrivial: bool):
 class BuggyProgram(DecisionOracle):
     """Wraps any program so its answers deviate exactly as ``spec`` says.
 
-    What the modes mean per protocol: a decision or dihedral program answers
-    TRIVIAL or NONTRIVIAL, a shift program False or True.  A search program
+    What the modes mean per protocol: a decision program answers TRIVIAL or
+    NONTRIVIAL, a shift program False or True.  A search program
     always-trivial claims no generators; always-nontrivial keeps an honest
     nontrivial claim and otherwise claims the first non-identity group
     generator.  A wrong answer is the other decision, the negated bool, or
     ``spec.mutate`` applied to a search answer.  The predicate sees the
-    structured instance of a decision query and the query itself otherwise.
+    structured instance of a decision query (a dihedral search's too, whose
+    group is the instance's D_n) and otherwise the query itself: a shift
+    query, or the instance a search program is asked about.
     Flips draw from one ``random.Random(spec.seed)`` stream, in call order.
     """
 

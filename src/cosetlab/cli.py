@@ -16,11 +16,10 @@ import time
 
 import click
 
-from .checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
-                       BruteForceShiftOracle, BruteSearchProgram, BugSpec,
-                       brute_coset_solve, brute_ghsh_solve, brute_hsp_solve,
-                       brute_orbit_solve, checker_hsp, checker_hspD, require_checkable,
-                       wrap_buggy)
+from .checking import (BruteForceDecisionOracle, BruteForceShiftOracle,
+                       BruteSearchProgram, BugSpec, brute_coset_solve,
+                       brute_ghsh_solve, brute_hsp_solve, brute_orbit_solve,
+                       checker_hsp, checker_hspD, require_checkable, wrap_buggy)
 from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, close_under_op,
                      cyclic_group, dihedral_group, element_from_json, element_to_json,
                      symmetric_group, wreath_group)
@@ -30,9 +29,9 @@ from .instances import (GhshInstance, GroupAction, HiddenCosetInstance,
                         verify_promise)
 from .perms import ExceedsCapError, Permutation, parse_cycles
 from .reductions import instance_from_json_any, reduce_instance, reduced_instance_to_json
-from .search_decision import (DihedralSubgroupQuery, NoShiftError,
-                              OracleInconsistentError, dihedral_search_via_decision,
-                              hsh_search_via_decision, hsp_search_via_decision)
+from .search_decision import (NoShiftError, OracleInconsistentError,
+                              dihedral_search_via_decision, hsh_search_via_decision,
+                              hsp_search_via_decision)
 from .selftest import MAX_DEGREE, MIN_DEGREE, SUITES, run_suites
 
 
@@ -191,15 +190,6 @@ def parse_action(shorthand: str, cap: int) -> GroupAction:
     raise InputError(f"unknown action shorthand: {shorthand!r}")
 
 
-def _query_group(query) -> FiniteGroup:
-    """The group a fault predicate sees: a dihedral query's instance's, else
-    the query's own (a decision query's instance, a shift query, or the
-    instance a search program is asked about)."""
-    if isinstance(query, DihedralSubgroupQuery):
-        return query.instance.group
-    return query.group
-
-
 def parse_bug_spec(spec_text: str, seed: int) -> BugSpec | None:
     """None means the honest program; otherwise the deviation to inject."""
     text = spec_text.strip().lower()
@@ -218,7 +208,7 @@ def parse_bug_spec(spec_text: str, seed: int) -> BugSpec | None:
         if body.startswith("wrong-if-order-gt:"):
             bound = int(body[len("wrong-if-order-gt:"):])
             return BugSpec("wrong_on_matching",
-                           predicate=lambda q: _query_group(q).order() > bound)
+                           predicate=lambda q: q.group.order() > bound)
     except ValueError as exc:
         raise InputError(f"bad program spec {spec_text!r}: {exc}")
     raise InputError(f"unknown bug mode: {spec_text!r}")
@@ -438,13 +428,13 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
     try:
         if isinstance(instance, HspInstance):
             ident = instance.group.identity
+            oracle = _program(BruteForceDecisionOracle(), bug)
             if isinstance(ident, DihedralElement):
                 # _load_and_verify checked that the planted closure is the kernel.
                 hidden = close_under_op(instance.planted_subgroup, ident,
                                         instance.group.cap)
                 if len(hidden) != 2 or not any(g.flip for g in hidden):
                     raise InputError("dihedral search needs a hidden subgroup {id, r^a s}")
-                oracle = _program(BruteForceDihedralOracle(), bug)
                 with _input_errors():  # an order that is not smooth
                     outputs = {"shift_exponent": dihedral_search_via_decision(
                         instance, smooth_bound, oracle)}
@@ -452,7 +442,6 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
                 if not isinstance(ident, Permutation):
                     raise InputError("hidden subgroup search runs over permutation "
                                      "and dihedral groups")
-                oracle = _program(BruteForceDecisionOracle(), bug)
                 found = hsp_search_via_decision(instance, oracle)
                 outputs = {"found": None if found is None else element_to_json(found)}
         elif isinstance(instance, HiddenCosetInstance):

@@ -14,7 +14,7 @@ coset family uses ``f_1(g) = f_2(g u)`` (right convention).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, close_under_op,
                      element_from_json, element_key, element_pow, element_to_json,
@@ -118,6 +118,18 @@ class HspInstance:
         return self._kernel
 
 
+def relating_shifts(elements: list[GroupElement], f1: Callable[[GroupElement], Label],
+                    f2: Callable[[GroupElement], Label]) -> Iterator[GroupElement]:
+    """Each w of ``elements``, in order, with f1(g) = f2(g w) for every g of
+    ``elements``.  f1 is read on every element first; a candidate w stops at
+    its first mismatch, so a caller that takes only the first shift pays only
+    for the candidates before it."""
+    tagged = [(g, f1(g)) for g in elements]
+    for w in elements:
+        if all(lab == f2(group_op(g, w)) for g, lab in tagged):
+            yield w
+
+
 class HiddenCosetInstance:
     """Two functions related by right translation: f1(g) = f2(g u).
 
@@ -136,10 +148,8 @@ class HiddenCosetInstance:
         self.planted_shift = planted_shift
 
     def brute_shift_set(self) -> list[GroupElement]:
-        elems = self.group.elements()
-        tagged = [(g, self.f1.evaluate(g)) for g in elems]
-        return [v for v in elems
-                if all(lab == self.f2.evaluate(group_op(g, v)) for g, lab in tagged)]
+        return list(relating_shifts(self.group.elements(), self.f1.evaluate,
+                                    self.f2.evaluate))
 
 
 class GhshInstance:

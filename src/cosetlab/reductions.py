@@ -264,6 +264,14 @@ class Constraint:
         raise NotImplementedError
 
 
+class SubgroupConstraint(Constraint):
+    """Membership in a generated group, listed on the first test."""
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.contains = group.contains
+
+
 class GammaSetStabilizer(Constraint):
     """Setwise stabilizer of doubled points (row, column), columns 1-based,
     tested on two-slot wreath elements over permutations.

@@ -4,7 +4,7 @@ The permutation-group search builds its entire query list before the first
 oracle call (a truth-table reduction); batches carry monotonic stamps so the
 ordering is checkable after the fact.  The shift search walks the stabilizer
 chain adaptively, and the dihedral search climbs prime-power moduli with one
-nonadaptive block of queries per level.
+sealed batch of intersection queries per level.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .groups import (DihedralElement, FiniteGroup, GroupElement,
                      dihedral_subgroup, wreath_group)
 from .instances import HspInstance, Label, OracleFunction, Side
 from .perms import Permutation, StabilizerChain, build_stabilizer_chain
-from .reductions import GammaSetStabilizer, PairedOracle, StructuredHspInstance
+from .reductions import (GammaSetStabilizer, PairedOracle, StructuredHspInstance,
+                         SubgroupConstraint)
 
 # Monotonic stamps shared by query records, batch sealing and oracle call
 # logging: ``event_stamp()`` returns the next one.
@@ -91,9 +92,9 @@ class DecisionOracle:
     """Base class for every program the reductions and checkers query.
 
     One protocol serves all of them: a structured decision query
-    (:class:`QueryRecord`), a shift query, a dihedral subgroup query, or a
-    bare :class:`HspInstance` handed to a search program.  ``answer`` logs
-    each call with a stamp, then defers to ``_answer``.
+    (:class:`QueryRecord`), a shift query, or a bare :class:`HspInstance`
+    handed to a search program.  ``answer`` logs each call with a stamp, then
+    defers to ``_answer``.
     """
 
     def __init__(self):
@@ -112,9 +113,9 @@ class DecisionOracle:
         return len(self.call_log)
 
 
-# The shift and dihedral protocols are the decision protocol.  The names stay
-# because perfbench/tracing.py looks each one up and wraps ``answer`` in the
-# class dictionary.
+# The shift and dihedral searches ask through the decision protocol.  The names
+# stay because perfbench/tracing.py looks each one up and wraps ``answer`` in
+# the class dictionary.
 ShiftDecisionOracle = DecisionOracle
 DihedralDecisionOracle = DecisionOracle
 
@@ -371,32 +372,16 @@ def crt_combine(residues: Sequence[tuple[int, int]]) -> tuple[int, int]:
     return value % modulus, modulus
 
 
-@dataclass(frozen=True)
-class DihedralSubgroupQuery:
-    """Is the hidden subgroup's reflection inside <r^step, r^offset s>?"""
-
-    index: tuple
-    instance: HspInstance
-    step: int
-    offset: int
-
-    def subgroup(self) -> FiniteGroup:
-        ident = self.instance.group.identity
-        if not isinstance(ident, DihedralElement):
-            raise TypeError("dihedral query needs a dihedral instance")
-        return dihedral_subgroup(ident.rotations, self.step, self.offset,
-                                 cap=self.instance.group.cap)
-
-
 def dihedral_search_via_decision(inst: HspInstance, bound: int,
                                  oracle: DecisionOracle) -> int:
     """Recover a from the hidden order-two subgroup {id, r^a s} of the
     instance's dihedral group D_n.
 
     For each prime power p^e dividing n, the residue of a mod p^j is learned
-    one level at a time with exactly p queries per level, always reusing the
-    original function restricted to <r^(p^j), r^offset s>.  The residues
-    combine by remaindering.  Total queries: sum of e_i * p_i.
+    one level at a time from one sealed batch of p intersection queries, one
+    per candidate offset: does the hidden subgroup meet <r^(p^j), r^offset s>
+    in more than the identity?  The residues combine by remaindering.  Total
+    queries: sum of e_i * p_i.
     """
     ident = inst.group.identity
     if not isinstance(ident, DihedralElement):
@@ -408,15 +393,19 @@ def dihedral_search_via_decision(inst: HspInstance, bound: int,
         known = 0
         for j in range(1, e + 1):
             step = p ** j
-            block = [DihedralSubgroupQuery((p, j, t), inst, step,
-                                           t * p ** (j - 1) + known)
-                     for t in range(p)]
-            accepted = [q for q in block
-                        if oracle.answer(q) is DecisionAnswer.NONTRIVIAL]
+            offsets = [t * p ** (j - 1) + known for t in range(p)]
+            batch = QueryBatch()
+            for t, offset in enumerate(offsets):
+                subgroup = dihedral_subgroup(n, step, offset, cap=inst.group.cap)
+                batch.add((p, j, t),
+                          StructuredHspInstance(inst, (SubgroupConstraint(subgroup),)))
+            answers = batch.run(oracle)
+            accepted = [offset for t, offset in enumerate(offsets)
+                        if answers[p, j, t] is DecisionAnswer.NONTRIVIAL]
             if len(accepted) != 1:
                 raise OracleInconsistentError(
                     f"{len(accepted)} accepted offsets at modulus {step}")
-            known = accepted[0].offset
+            known = accepted[0]
         residues.append((known, p ** e))
     value, modulus = crt_combine(residues)
     assert modulus == n

@@ -11,9 +11,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
-                       BruteForceShiftOracle, BugSpec, brute_hsp_solve,
-                       checker_hspD, wrap_buggy)
+from .checking import (BruteForceDecisionOracle, BruteForceShiftOracle, BugSpec,
+                       brute_hsp_solve, checker_hspD, wrap_buggy)
 from .groups import (DihedralElement, FiniteGroup, close_under_op, cyclic_group,
                      dihedral_group, element_key, group_op, symmetric_group,
                      wreath_embed, wreath_group)
@@ -175,7 +174,7 @@ def run_search_suite(max_degree: int, seed: int) -> list[PropertyResult]:
     cases = failures = 0
     for a in range(12):
         inst = plant_hsp(dihedral_group(12), (DihedralElement(12, a, 1),), Side.LEFT)
-        oracle = BruteForceDihedralOracle()
+        oracle = BruteForceDecisionOracle()
         got = dihedral_search_via_decision(inst, 5, oracle)
         cases += 1
         if got != a or oracle.calls != 7:

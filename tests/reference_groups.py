@@ -1,32 +1,20 @@
 """Group constructions the tests use as references; the library never needs them.
 
-An explicit-group constraint, the direct product over tuple elements, the
-literal product-domain oracle of a structured instance, full setwise
-stabilizers in S_n, and the doubled-point action of two-slot wreath elements
-written from its definition.
+The direct product over tuple elements, the literal product-domain oracle of
+a structured instance, full setwise stabilizers in S_n, and the doubled-point
+action of two-slot wreath elements written from its definition.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
-from cosetlab.groups import (FiniteGroup, GroupElement, TupleElement,
-                             WreathElement, element_key, group_op, invert)
+from cosetlab.groups import (FiniteGroup, TupleElement, WreathElement, element_key,
+                             group_op, invert)
 from cosetlab.instances import HspInstance, Label, OracleFunction
 from cosetlab.perms import Permutation
-from cosetlab.reductions import Constraint, StructuredHspInstance
-
-
-@dataclass
-class GroupConstraint(Constraint):
-    """Constraint given by an explicit generated group."""
-
-    group: FiniteGroup
-
-    def contains(self, x: GroupElement) -> bool:
-        return self.group.contains(x)
+from cosetlab.reductions import StructuredHspInstance
 
 
 def product_group(factors: list[FiniteGroup]) -> FiniteGroup:

@@ -9,10 +9,9 @@ import itertools
 import random
 import time
 
-from cosetlab.checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
-                               BruteForceShiftOracle, BruteSearchProgram, BugSpec,
-                               brute_hsp_solve, checker_hsp, checker_hspD,
-                               wrap_buggy)
+from cosetlab.checking import (BruteForceDecisionOracle, BruteForceShiftOracle,
+                               BruteSearchProgram, BugSpec, brute_hsp_solve,
+                               checker_hsp, checker_hspD, wrap_buggy)
 from cosetlab.groups import (CyclicElement, DihedralElement, TupleElement,
                              WreathElement, close_under_op, cyclic_group,
                              dihedral_group, element_key, element_pow, group_op,
@@ -213,7 +212,7 @@ def test_criterion_6_smooth_dihedral_search():
         group = dihedral_group(n)
         for a in range(n):
             inst = plant_hsp(group, (DihedralElement(n, a, 1),), Side.LEFT)
-            oracle = BruteForceDihedralOracle()
+            oracle = BruteForceDecisionOracle()
             got = dihedral_search_via_decision(inst, bound, oracle)
             assert got == a
             assert oracle.calls == expected_queries[n]

@@ -15,10 +15,9 @@ from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
 from cosetlab.instances import (GroupAction, OracleFunction, Side, plant_coset,
                                 plant_ghsh, plant_hsp, plant_orbit_coset)
 from cosetlab.perms import parse_cycles
-from cosetlab.reductions import StructuredHspInstance
+from cosetlab.reductions import StructuredHspInstance, SubgroupConstraint
 from cosetlab.search_decision import (DecisionAnswer, QueryRecord,
                                       hsp_search_via_decision)
-from reference_groups import GroupConstraint
 
 
 def keys(elems):
@@ -62,11 +61,11 @@ def test_brute_decide_examples():
     swap12 = parse_cycles("(1 2)", 3)
     inst = plant_hsp(s3, (swap12,), Side.LEFT)
 
-    same = StructuredHspInstance(inst, [GroupConstraint(
+    same = StructuredHspInstance(inst, [SubgroupConstraint(
         FiniteGroup((swap12,), s3.identity))])
     assert brute_decide(same) is DecisionAnswer.NONTRIVIAL
 
-    other = StructuredHspInstance(inst, [GroupConstraint(
+    other = StructuredHspInstance(inst, [SubgroupConstraint(
         FiniteGroup((parse_cycles("(1 3)", 3),), s3.identity))])
     assert brute_decide(other) is DecisionAnswer.TRIVIAL
 

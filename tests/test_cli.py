@@ -95,6 +95,46 @@ def test_search_via_decision_dihedral():
     assert rep["counters"]["decision_queries"] == 7
 
 
+D12_QUERIES = [[2, 1, 0], [2, 1, 1], [2, 2, 0], [2, 2, 1], [3, 1, 0], [3, 1, 1], [3, 1, 2]]
+D60_QUERIES = D12_QUERIES + [[5, 1, t] for t in range(5)]
+
+
+@pytest.mark.parametrize("group, subgroup, seed, spec, expected", [
+    ("d12", "r5s", 0, "bruteforce", (D12_QUERIES, 5)),
+    ("d12", "r5s", 0, "buggy:always-trivial", "0 accepted offsets at modulus 2"),
+    ("d12", "r5s", 0, "buggy:always-nontrivial", "2 accepted offsets at modulus 2"),
+    ("d12", "r5s", 1, "buggy:flip:0.3", "2 accepted offsets at modulus 2"),
+    ("d12", "r5s", 2, "buggy:flip:0.3", (D12_QUERIES, 11)),
+    ("d12", "r5s", 0, "buggy:wrong-if-order-gt:23", "2 accepted offsets at modulus 4"),
+    ("d12", "r5s", 0, "buggy:wrong-if-order-gt:24", (D12_QUERIES, 5)),
+    ("d60", "r37s", 0, "bruteforce", (D60_QUERIES, 37)),
+    ("d60", "r37s", 0, "buggy:always-trivial", "0 accepted offsets at modulus 2"),
+    ("d60", "r37s", 0, "buggy:always-nontrivial", "2 accepted offsets at modulus 2"),
+    ("d60", "r37s", 1, "buggy:flip:0.3", "2 accepted offsets at modulus 2"),
+    ("d60", "r37s", 2, "buggy:flip:0.3", "2 accepted offsets at modulus 5"),
+    ("d60", "r37s", 0, "buggy:wrong-if-order-gt:119", "2 accepted offsets at modulus 4"),
+    ("d60", "r37s", 0, "buggy:wrong-if-order-gt:120", (D60_QUERIES, 37)),
+])
+def test_dihedral_search_under_every_program_spec(group, subgroup, seed, spec, expected):
+    """Each program spec on a dihedral search: the queries asked and the
+    exponent found, or the failure.  A fault predicate sees |G| (24 for D12,
+    120 for D60), so ``wrong-if-order-gt`` flips every answer just below it."""
+    planted = payload(run(["plant", "hsp", "--group", group, "--subgroup", subgroup]))
+    result = CliRunner().invoke(
+        main, ["--seed", str(seed), "search-via-decision", "--emit-querylog",
+               "--oracle", spec], input=json.dumps(planted["outputs"]["instance"]))
+    if isinstance(expected, str):
+        assert result.exit_code == 1
+        assert result.output == f"Error: search failed: {expected}\n"
+        return
+    queries, exponent = expected
+    assert result.exit_code == 0
+    rep = payload(result)
+    assert rep["outputs"] == {"querylog": [{"index": q} for q in queries],
+                              "shift_exponent": exponent}
+    assert rep["counters"]["decision_queries"] == len(queries)
+
+
 def test_search_via_decision_hidden_shift():
     planted = payload(run(["plant", "coset", "--group", "s3",
                            "--subgroup", "", "--shift", "(1 2 3)"]))

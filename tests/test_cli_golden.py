@@ -34,7 +34,7 @@ PIPELINES = [
     ("readme-d60-dihedral",
      [["plant", "hsp", "--group", "d60", "--subgroup", "r37s"],
       ["search-via-decision", "--smooth-bound", "5"]],
-     ["9b7500c7d39bc62c", "6765146c787423b1"]),
+     ["9b7500c7d39bc62c", "828bd5943ea9c454"]),
     ("readme-s3-check-always-trivial",
      [S3_C2, ["--seed", "1", "check", "--program", "buggy:always-trivial",
               "--k", "7", "--runs", "100"]],
@@ -107,7 +107,7 @@ PIPELINES = [
     ("d12-dihedral-smooth-bound-3",
      [["plant", "hsp", "--group", "d12", "--subgroup", "r5s"],
       ["search-via-decision", "--smooth-bound", "3"]],
-     ["3f84e1ad83984ead", "0408322f98d170b7"]),
+     ["3f84e1ad83984ead", "01864681bff8d5e3"]),
     ("check-decision-wrong-if-order-gt-6-seed-13",
      [S3_C2, ["--seed", "13", "check", "--flavor", "decision",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],

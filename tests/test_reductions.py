@@ -14,13 +14,12 @@ from cosetlab.instances import (GroupAction, HspInstance, OracleFunction, Side,
                                 plant_orbit_coset, verify_promise)
 from cosetlab.perms import Permutation, parse_cycles
 from cosetlab.reductions import (GammaSetStabilizer, InvalidKGeneratorsError,
-                                 StructuredHspInstance, embed_wreath_instance,
-                                 ghsh_to_hsp, hidden_coset_to_hsp,
-                                 orbit_coset_to_hsp,
+                                 StructuredHspInstance, SubgroupConstraint,
+                                 embed_wreath_instance, ghsh_to_hsp,
+                                 hidden_coset_to_hsp, orbit_coset_to_hsp,
                                  recover_coset_solution, recover_ghsh_functions,
                                  recover_orbit_solution)
-from reference_groups import (GroupConstraint, audit_oracle, gamma_point_image,
-                              product_group)
+from reference_groups import audit_oracle, gamma_point_image, product_group
 
 
 def keys(elems):
@@ -314,11 +313,11 @@ def test_multi_intersection_examples():
     s3 = symmetric_group(3)
     inst = plant_hsp(s3, (parse_cycles("(1 2)", 3),), Side.LEFT)
 
-    same = GroupConstraint(FiniteGroup((parse_cycles("(1 2)", 3),), s3.identity))
+    same = SubgroupConstraint(FiniteGroup((parse_cycles("(1 2)", 3),), s3.identity))
     structured = StructuredHspInstance(inst, [same])
     assert len(structured.kernel()) == 2
 
-    other = GroupConstraint(FiniteGroup((parse_cycles("(1 3)", 3),), s3.identity))
+    other = SubgroupConstraint(FiniteGroup((parse_cycles("(1 3)", 3),), s3.identity))
     structured2 = StructuredHspInstance(inst, [other])
     assert keys(structured2.kernel()) == {element_key(s3.identity)}
 
@@ -328,7 +327,7 @@ def test_multi_intersection_audit_oracle_matches_diagonal():
     sub = FiniteGroup((parse_cycles("(1 2)", 3),), s3.identity)
     inst = plant_hsp(s3, (parse_cycles("(1 2)", 3), parse_cycles("(1 3)", 3)),
                      Side.LEFT)
-    structured = StructuredHspInstance(inst, [GroupConstraint(sub)])
+    structured = StructuredHspInstance(inst, [SubgroupConstraint(sub)])
     product = product_group([s3, sub])
     audit = HspInstance(product, audit_oracle(structured), Side.LEFT)
     diag = keys(structured.kernel())
@@ -383,9 +382,9 @@ def test_nested_structured_instance_matches_flat_constraints():
     s3 = symmetric_group(3)
     inst = plant_hsp(s3, (parse_cycles("(1 2)", 3), parse_cycles("(1 3)", 3)),
                      Side.LEFT)
-    first = GroupConstraint(FiniteGroup((parse_cycles("(1 2 3)", 3),), s3.identity))
-    second = GroupConstraint(FiniteGroup((parse_cycles("(1 2)", 3),
-                                          parse_cycles("(1 3)", 3)), s3.identity))
+    first = SubgroupConstraint(FiniteGroup((parse_cycles("(1 2 3)", 3),), s3.identity))
+    second = SubgroupConstraint(FiniteGroup((parse_cycles("(1 2)", 3),
+                                             parse_cycles("(1 3)", 3)), s3.identity))
     prefix = StructuredHspInstance(inst, [first])
     nested = StructuredHspInstance(prefix, [second])
     flat = StructuredHspInstance(inst, [first, second])

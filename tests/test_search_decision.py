@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from cosetlab.checking import (BruteForceDecisionOracle, BruteForceDihedralOracle,
-                               BruteForceShiftOracle, BruteSearchProgram, BugSpec,
-                               _translated_instance, brute_decide, checker_hsp,
-                               checker_hspD, wrap_buggy)
+from cosetlab.checking import (BruteForceDecisionOracle, BruteForceShiftOracle,
+                               BruteSearchProgram, BugSpec, _translated_instance,
+                               brute_decide, checker_hsp, checker_hspD, wrap_buggy)
 from cosetlab.groups import (DihedralElement, FiniteGroup, close_under_op,
                              cyclic_group, dihedral_group, element_key, group_op,
                              invert, symmetric_group, wreath_group)
@@ -322,7 +321,13 @@ def test_search_requires_permutation_group():
 def test_each_planted_label_is_read_once():
     """A truth-table search reads the planted oracle once per group element,
     and a checker call's translate trials read it at most once per element
-    between them, so the count does not move with k."""
+    between them, so the count does not move with k.  A dihedral search
+    reads the instance's kernel once: the identity, then every element."""
+    for n, shifts in ((12, range(12)), (60, (0, 37, 59)), (360, (0, 121, 359))):
+        for a in shifts:
+            inst = dihedral_instance(n, a)
+            dihedral_search_via_decision(inst, 5, BruteForceDecisionOracle())
+            assert inst.oracle.evaluations <= inst.group.order() + 1, (n, a)
     for group in (symmetric_group(3), symmetric_group(4)):
         for gens in subgroups_of(group):
             inst = plant_hsp(group, gens, Side.LEFT)
@@ -429,18 +434,18 @@ def dihedral_instance(n, a):
 
 
 def test_dihedral_search_examples():
-    oracle = BruteForceDihedralOracle()
+    oracle = BruteForceDecisionOracle()
     assert dihedral_search_via_decision(dihedral_instance(12, 5), 5, oracle) == 5
     assert oracle.calls == 7
     # the residue climb visits moduli 2, 4, then 3
     assert [e.index[:2] for e in oracle.call_log] == (
         [(2, 1)] * 2 + [(2, 2)] * 2 + [(3, 1)] * 3)
 
-    oracle0 = BruteForceDihedralOracle()
+    oracle0 = BruteForceDecisionOracle()
     assert dihedral_search_via_decision(dihedral_instance(12, 0), 5, oracle0) == 0
     assert oracle0.calls == 7
 
-    oracle60 = BruteForceDihedralOracle()
+    oracle60 = BruteForceDecisionOracle()
     assert dihedral_search_via_decision(dihedral_instance(60, 37), 5,
                                         oracle60) == 37
     assert oracle60.calls == 12
@@ -448,7 +453,7 @@ def test_dihedral_search_examples():
 
 def test_dihedral_search_exhaustive_n12():
     for a in range(12):
-        oracle = BruteForceDihedralOracle()
+        oracle = BruteForceDecisionOracle()
         got = dihedral_search_via_decision(dihedral_instance(12, a), 5, oracle)
         assert got == a
         assert oracle.calls == 7
@@ -457,11 +462,11 @@ def test_dihedral_search_exhaustive_n12():
 def test_dihedral_search_not_smooth():
     with pytest.raises(NotSmoothError):
         dihedral_search_via_decision(dihedral_instance(14, 3), 5,
-                                     BruteForceDihedralOracle())
+                                     BruteForceDecisionOracle())
 
 
 def test_dihedral_rejects_wrong_instance_shape():
     s3 = symmetric_group(3)
     inst = plant_hsp(s3, (), Side.LEFT)
     with pytest.raises(TypeError):
-        dihedral_search_via_decision(inst, 5, BruteForceDihedralOracle())
+        dihedral_search_via_decision(inst, 5, BruteForceDecisionOracle())

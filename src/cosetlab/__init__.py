@@ -27,9 +27,8 @@ from .reductions import (Constraint, GammaSetStabilizer, InvalidKGeneratorsError
                          orbit_coset_to_hsp, recover_coset_solution,
                          recover_ghsh_functions, recover_orbit_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle, DihedralDecisionOracle,
-                              NoShiftError, NotSmoothError, OracleInconsistentError,
-                              QueryBatch, QueryRecord, ShiftDecisionOracle,
-                              ShiftQuery, crt_combine,
+                              NotSmoothError, OracleInconsistentError,
+                              QueryBatch, QueryRecord, ShiftDecisionOracle, crt_combine,
                               dihedral_search_via_decision, hsh_search_via_decision,
                               hsp_search_via_decision, smooth_factorize)
 from .checking import (BruteForceDecisionOracle, BruteForceShiftOracle,

@@ -26,7 +26,7 @@ from .perms import (Permutation, StabilizerChain, build_stabilizer_chain,
 from .reductions import (InvalidKGeneratorsError, PairedOracle, StructuredHspInstance,
                          embed_wreath_group, embed_wreath_oracle, recover_coset_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle,
-                              OracleInconsistentError, QueryRecord, ShiftQuery,
+                              OracleInconsistentError, QueryRecord,
                               build_hsp_search_plan, event_stamp, finish_hsp_search,
                               hsp_search_via_decision, memoized_labels)
 
@@ -95,11 +95,15 @@ class BruteForceDecisionOracle(DecisionOracle):
 
 
 class BruteForceShiftOracle(DecisionOracle):
-    """Answers shift-existence queries by trying every subgroup element."""
+    """Answers hidden-coset decision records: NONTRIVIAL iff some element of
+    the record's group relates its two functions, found by trying each in
+    turn up to the first that does."""
 
-    def _answer(self, query: ShiftQuery) -> bool:
-        shifts = relating_shifts(query.group.elements(), query.f1, query.f2)
-        return next(shifts, None) is not None
+    def _answer(self, query: QueryRecord) -> DecisionAnswer:
+        inst = query.instance
+        first = next(relating_shifts(inst.group.elements(), inst.f1.evaluate,
+                                     inst.f2.evaluate), None)
+        return DecisionAnswer.TRIVIAL if first is None else DecisionAnswer.NONTRIVIAL
 
 
 class BruteSearchProgram(DecisionOracle):
@@ -147,25 +151,18 @@ def _drop_last_generator(gens):
     return gens[:-1]
 
 
-def _fixed_answer(query, nontrivial: bool):
-    """A decision or shift program's answer that ignores the input."""
-    if isinstance(query, ShiftQuery):
-        return nontrivial
-    return DecisionAnswer.NONTRIVIAL if nontrivial else DecisionAnswer.TRIVIAL
-
-
 class BuggyProgram(DecisionOracle):
     """Wraps any program so its answers deviate exactly as ``spec`` says.
 
-    What the modes mean per protocol: a decision program answers TRIVIAL or
-    NONTRIVIAL, a shift program False or True.  A search program
+    What the modes mean per protocol: a decision program answers a
+    :class:`QueryRecord` TRIVIAL or NONTRIVIAL.  A search program
     always-trivial claims no generators; always-nontrivial keeps an honest
     nontrivial claim and otherwise claims the first non-identity group
-    generator.  A wrong answer is the other decision, the negated bool, or
-    ``spec.mutate`` applied to a search answer.  The predicate sees the
-    structured instance of a decision query (a dihedral search's too, whose
-    group is the instance's D_n) and otherwise the query itself: a shift
-    query, or the instance a search program is asked about.
+    generator.  A wrong answer is the other decision, or ``spec.mutate``
+    applied to a search answer.  The predicate sees the instance the program
+    is asked about: a decision record's (a dihedral search's has the
+    instance's D_n as its group, a shift search's the level group) or the
+    search program's input.
     Flips draw from one ``random.Random(spec.seed)`` stream, in call order.
     """
 
@@ -179,9 +176,9 @@ class BuggyProgram(DecisionOracle):
         spec = self.spec
         search = isinstance(query, HspInstance)
         if spec.mode == "always_trivial":
-            return [] if search else _fixed_answer(query, False)
+            return [] if search else DecisionAnswer.TRIVIAL
         if spec.mode == "always_nontrivial" and not search:
-            return _fixed_answer(query, True)
+            return DecisionAnswer.NONTRIVIAL
         honest = self.inner.answer(query)
         if spec.mode == "always_nontrivial":
             if honest:
@@ -191,15 +188,14 @@ class BuggyProgram(DecisionOracle):
         if spec.mode == "flip_with_prob":
             wrong = self._rng.random() < spec.flip_probability
         else:
-            wrong = spec.predicate(query.instance if isinstance(query, QueryRecord)
-                                   else query)
+            wrong = spec.predicate(query if search else query.instance)
         if not wrong:
             return honest
         if search:
             return (spec.mutate or _drop_last_generator)(honest)
-        if isinstance(honest, bool):
-            return not honest
-        return _fixed_answer(query, honest is DecisionAnswer.TRIVIAL)
+        if honest is DecisionAnswer.TRIVIAL:
+            return DecisionAnswer.NONTRIVIAL
+        return DecisionAnswer.TRIVIAL
 
 
 # ``wrap_buggy(program, spec)`` is how the CLI, the selftest, the tests and
@@ -301,11 +297,12 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
     """Certify a decision program's answer on one instance.
 
     A NONTRIVIAL answer is checked by running the search reduction with the
-    program as its oracle and testing the witness.  A TRIVIAL answer is
-    checked by k independent trials: translate the function by a random u,
-    pair the functions over the doubled points, and demand the program-driven
-    search return exactly the slot-swapping element built from u.  All trial
-    query batches are constructed before the program is consulted again.
+    program as its oracle, which confirms the witness it returns.  A TRIVIAL
+    answer is checked by k independent trials: translate the function by a
+    random u, pair the functions over the doubled points, and demand the
+    program-driven search return exactly the slot-swapping element built from
+    u.  All trial query batches are constructed before the program is
+    consulted again.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -321,14 +318,8 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
         except OracleInconsistentError as exc:
             transcript.append(TrialRecord("search", "witness search", False, str(exc)))
             return _verdict(transcript, program.calls - calls_before)
-        if found is None:
-            transcript.append(TrialRecord("search", "witness search", False,
-                                          "no witness found"))
-        else:
-            ok = (not found.is_identity()
-                  and inst.oracle.evaluate(found) == inst.oracle.evaluate(inst.group.identity))
-            transcript.append(TrialRecord("search", "witness search", ok,
-                                          f"witness {found}"))
+        detail = "no witness found" if found is None else f"witness {found}"
+        transcript.append(TrialRecord("search", "witness search", found is not None, detail))
         return _verdict(transcript, program.calls - calls_before)
 
     def judge(t, u, plan):

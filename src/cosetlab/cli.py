@@ -29,9 +29,8 @@ from .instances import (GhshInstance, GroupAction, HiddenCosetInstance,
                         verify_promise)
 from .perms import ExceedsCapError, Permutation, parse_cycles
 from .reductions import instance_from_json_any, reduce_instance, reduced_instance_to_json
-from .search_decision import (NoShiftError, OracleInconsistentError,
-                              dihedral_search_via_decision, hsh_search_via_decision,
-                              hsp_search_via_decision)
+from .search_decision import (OracleInconsistentError, dihedral_search_via_decision,
+                              hsh_search_via_decision, hsp_search_via_decision)
 from .selftest import MAX_DEGREE, MIN_DEGREE, SUITES, run_suites
 
 
@@ -451,12 +450,11 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
             if not isinstance(instance.group.identity, Permutation):
                 raise InputError("shift search runs over permutation groups")
             oracle = _program(BruteForceShiftOracle(), bug)
-            outputs = {"shift": element_to_json(hsh_search_via_decision(
-                instance.group, instance.f1, instance.f2, oracle))}
+            outputs = {"shift": element_to_json(hsh_search_via_decision(instance, oracle))}
         else:
             raise InputError("search-via-decision expects an hsp, dihedral, or "
                              "hidden-shift instance")
-    except (OracleInconsistentError, NoShiftError) as exc:
+    except OracleInconsistentError as exc:
         raise click.ClickException(f"search failed: {exc}")
     if emit_querylog:
         outputs["querylog"] = [{"index": list(e.index)} for e in oracle.call_log]

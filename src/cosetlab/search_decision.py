@@ -3,8 +3,10 @@
 The permutation-group search builds its entire query list before the first
 oracle call (a truth-table reduction); batches carry monotonic stamps so the
 ordering is checkable after the fact.  The shift search walks the stabilizer
-chain adaptively, and the dihedral search climbs prime-power moduli with one
-sealed batch of intersection queries per level.
+chain adaptively with hidden-coset decision records, and the dihedral search
+climbs prime-power moduli with one sealed batch of intersection queries per
+level.  Every search confirms its witness against the instance before it
+returns it, and raises OracleInconsistentError when the witness fails.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .groups import (DihedralElement, FiniteGroup, GroupElement,
-                     dihedral_subgroup, wreath_group)
-from .instances import HspInstance, Label, OracleFunction, Side
+from .groups import DihedralElement, FiniteGroup, dihedral_subgroup, wreath_group
+from .instances import HiddenCosetInstance, HspInstance, Label, OracleFunction, Side
 from .perms import Permutation, StabilizerChain, build_stabilizer_chain
 from .reductions import (GammaSetStabilizer, PairedOracle, StructuredHspInstance,
                          SubgroupConstraint)
@@ -28,16 +29,17 @@ event_stamp = itertools.count(1).__next__
 
 
 class DecisionAnswer(enum.Enum):
+    """A decision program's answer to a :class:`QueryRecord`.  For a
+    hidden-subgroup record: does the hidden subgroup meet the constraints in
+    more than the identity?  For a hidden-coset record: does some element of
+    the record's group relate its two functions?"""
+
     TRIVIAL = "trivial"
     NONTRIVIAL = "nontrivial"
 
 
 class OracleInconsistentError(RuntimeError):
     """The answer vector cannot have come from a correct decision oracle."""
-
-
-class NoShiftError(RuntimeError):
-    """No translate accepted at some chain level; promise violated or oracle buggy."""
 
 
 class NotSmoothError(ValueError):
@@ -91,10 +93,11 @@ class CallLogEntry(NamedTuple):
 class DecisionOracle:
     """Base class for every program the reductions and checkers query.
 
-    One protocol serves all of them: a structured decision query
-    (:class:`QueryRecord`), a shift query, or a bare :class:`HspInstance`
-    handed to a search program.  ``answer`` logs each call with a stamp, then
-    defers to ``_answer``.
+    Two protocols: a decision program answers a :class:`QueryRecord` (a
+    hidden-subgroup or hidden-coset record) with a :class:`DecisionAnswer`,
+    and a search program answers a bare :class:`HspInstance` with a list of
+    subgroup generators.  ``answer`` logs each call with a stamp, then defers
+    to ``_answer``.
     """
 
     def __init__(self):
@@ -254,6 +257,8 @@ def finish_hsp_search(plan: HspSearchPlan, answers: dict) -> Permutation | None:
     found = reconstruct_from_answers(inst.group.identity.degree, answers)
     if found is None:
         return None
+    if found.is_identity():
+        raise OracleInconsistentError("assembled element is the identity")
     if plan.label(found) != plan.label(inst.group.identity):
         raise OracleInconsistentError("assembled element does not share the identity label")
     return found
@@ -265,7 +270,8 @@ def hsp_search_via_decision(inst: HspInstance, oracle: DecisionOracle) -> Permut
     The whole query batch is constructed and sealed before the first call.
     Returns None when every answer is trivial (hidden subgroup trivial for a
     correct oracle); raises OracleInconsistentError when the answers cannot be
-    explained by any hidden subgroup.
+    explained by any hidden subgroup, or when the element they assemble is the
+    identity or does not share the identity's label.
     """
     plan = build_hsp_search_plan(inst)
     answers = plan.batch.run(oracle)
@@ -275,58 +281,50 @@ def hsp_search_via_decision(inst: HspInstance, oracle: DecisionOracle) -> Permut
 # -- hidden shift search over permutation groups ------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftQuery:
-    """Does some translate relate the two functions on this subgroup?"""
-
-    index: tuple
-    group: FiniteGroup
-    f1: Callable[[GroupElement], Label]
-    f2: Callable[[GroupElement], Label]
-
-
-def hsh_search_via_decision(group: FiniteGroup, f1: OracleFunction,
-                            f2: OracleFunction, oracle: DecisionOracle) -> Permutation:
+def hsh_search_via_decision(hc: HiddenCosetInstance, oracle: DecisionOracle) -> Permutation:
     """Recover the translate u with f1(g) = f2(g u) by walking the chain.
 
-    At each level, first ask whether the current pair already relates on the
-    next stabilizer; otherwise exactly one coset representative, composed onto
-    the running translate, must make it so.  The answer composes bottom-up:
-    the representative found at the deepest level applies first.  The
-    assembled translate must satisfy f1(id) = f2(u); as f2 is injective only
-    the true shift does, so a lying oracle raises NoShiftError.  The queries
-    read f1 and f2 through one memo each, so the search evaluates each
-    function at most once per element before that final check.
+    Each query is a hidden-coset decision record on a level group L of the
+    chain: ``QueryRecord(index, HiddenCosetInstance(L, f1, f2(. a)))``, whose
+    answer is NONTRIVIAL exactly when some element of L relates the pair (so
+    when the pair's hidden subgroup over L wr Z_2 holds a slot swap).  At each
+    level, first ask whether the current pair already relates on the level
+    group; otherwise exactly one coset representative, composed onto the
+    running translate, must make it so.  The answer composes bottom-up: the
+    representative found at the deepest level applies first.  The assembled
+    translate must satisfy f1(id) = f2(u); as f2 is injective only the true
+    shift does, so a lying oracle raises OracleInconsistentError.  The
+    queries read f1 and f2 through one memo each, so the search evaluates
+    each function at most once per element before that final check.
     """
+    group = hc.group
     identity = group.identity
     if not isinstance(identity, Permutation):
         raise TypeError("shift search runs over permutation groups")
     n = identity.degree
     chain = build_stabilizer_chain(group.generators, n)
-    label1, label2 = memoized_labels(f1), memoized_labels(f2)
+    f1 = OracleFunction(memoized_labels(hc.f1))
+    label2 = memoized_labels(hc.f2)
     acc = Permutation.identity(n)
-    for i in range(n):
-        level_group = _chain_level_group(group, chain, i + 1)
-        current = acc
-        base_query = ShiftQuery((i + 1, "stay"), level_group, label1,
-                                lambda g, a=current: label2(g.op(a)))
-        if oracle.answer(base_query):
+    for level in range(1, n + 1):
+        level_group = _chain_level_group(group, chain, level)
+
+        def relates(index: tuple, a: Permutation) -> bool:
+            f2 = OracleFunction(lambda g: label2(g.op(a)))
+            record = QueryRecord(index, HiddenCosetInstance(level_group, f1, f2))
+            return oracle.answer(record) is DecisionAnswer.NONTRIVIAL
+
+        if relates((level, "stay"), acc):
             continue
-        reps = [rep for b, rep in sorted(chain.transversal(i + 1).items())
+        reps = [rep for b, rep in sorted(chain.transversal(level).items())
                 if not rep.is_identity()]
-        found = None
-        for rep in reps:
-            candidate = rep.op(current)
-            query = ShiftQuery((i + 1, tuple(rep.images)), level_group, label1,
-                               lambda g, a=candidate: label2(g.op(a)))
-            if oracle.answer(query):
-                found = rep
-                break
+        found = next((rep for rep in reps
+                      if relates((level, tuple(rep.images)), rep.op(acc))), None)
         if found is None:
-            raise NoShiftError(f"no translate accepted at level {i + 1}")
+            raise OracleInconsistentError(f"no translate accepted at level {level}")
         acc = found.op(acc)
-    if f1.evaluate(identity) != f2.evaluate(acc):
-        raise NoShiftError("assembled translate does not relate the two functions")
+    if hc.f1.evaluate(identity) != hc.f2.evaluate(acc):
+        raise OracleInconsistentError("assembled translate does not relate the two functions")
     return acc
 
 
@@ -381,7 +379,8 @@ def dihedral_search_via_decision(inst: HspInstance, bound: int,
     one level at a time from one sealed batch of p intersection queries, one
     per candidate offset: does the hidden subgroup meet <r^(p^j), r^offset s>
     in more than the identity?  The residues combine by remaindering.  Total
-    queries: sum of e_i * p_i.
+    queries: sum of e_i * p_i.  The combined r^a s must share the identity's
+    label, read directly, or OracleInconsistentError is raised.
     """
     ident = inst.group.identity
     if not isinstance(ident, DihedralElement):
@@ -409,4 +408,6 @@ def dihedral_search_via_decision(inst: HspInstance, bound: int,
         residues.append((known, p ** e))
     value, modulus = crt_combine(residues)
     assert modulus == n
+    if inst.oracle.evaluate(DihedralElement(n, value, 1)) != inst.oracle.evaluate(ident):
+        raise OracleInconsistentError(f"r^{value}s does not share the identity label")
     return value

@@ -165,7 +165,7 @@ def run_search_suite(max_degree: int, seed: int) -> list[PropertyResult]:
     group = symmetric_group(3)
     for u in group.elements():
         hc = plant_coset(group, (), u)
-        got = hsh_search_via_decision(group, hc.f1, hc.f2, BruteForceShiftOracle())
+        got = hsh_search_via_decision(hc, BruteForceShiftOracle())
         cases += 1
         if got != u:
             failures += 1

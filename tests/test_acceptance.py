@@ -190,7 +190,7 @@ def test_criterion_5_hidden_shift_search():
             u = rng.choice(elems)
             source = plant_coset(group, (), u)
             oracle = BruteForceShiftOracle()
-            got = hsh_search_via_decision(group, source.f1, source.f2, oracle)
+            got = hsh_search_via_decision(source, oracle)
             assert got == u
             per_level = {}
             for entry in oracle.call_log:

@@ -7,8 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from cosetlab import instances
-from cosetlab.cli import main, parse_element, parse_group
-from cosetlab.groups import DEFAULT_CAP, DihedralElement, FiniteGroup
+from cosetlab.cli import main, parse_element, parse_elements, parse_group
+from cosetlab.groups import (DEFAULT_CAP, DihedralElement, FiniteGroup,
+                             element_from_json, group_op)
 
 
 def run(args, stdin=None):
@@ -104,7 +105,7 @@ D60_QUERIES = D12_QUERIES + [[5, 1, t] for t in range(5)]
     ("d12", "r5s", 0, "buggy:always-trivial", "0 accepted offsets at modulus 2"),
     ("d12", "r5s", 0, "buggy:always-nontrivial", "2 accepted offsets at modulus 2"),
     ("d12", "r5s", 1, "buggy:flip:0.3", "2 accepted offsets at modulus 2"),
-    ("d12", "r5s", 2, "buggy:flip:0.3", (D12_QUERIES, 11)),
+    ("d12", "r5s", 2, "buggy:flip:0.3", "r^11s does not share the identity label"),
     ("d12", "r5s", 0, "buggy:wrong-if-order-gt:23", "2 accepted offsets at modulus 4"),
     ("d12", "r5s", 0, "buggy:wrong-if-order-gt:24", (D12_QUERIES, 5)),
     ("d60", "r37s", 0, "bruteforce", (D60_QUERIES, 37)),
@@ -132,6 +133,53 @@ def test_dihedral_search_under_every_program_spec(group, subgroup, seed, spec, e
     rep = payload(result)
     assert rep["outputs"] == {"querylog": [{"index": q} for q in queries],
                               "shift_exponent": exponent}
+    assert rep["counters"]["decision_queries"] == len(queries)
+
+
+S3_SHIFT_QUERIES = [[1, "stay"], [1, [2, 1, 3]], [2, "stay"], [2, [1, 3, 2]], [3, "stay"]]
+S4_SHIFT_QUERIES = [[1, "stay"], [1, [2, 1, 3, 4]], [1, [3, 1, 4, 2]], [2, "stay"],
+                    [2, [1, 3, 4, 2]], [3, "stay"], [3, [1, 2, 4, 3]], [4, "stay"]]
+
+
+@pytest.mark.parametrize("group, shift, seed, spec, expected", [
+    ("s3", "(1 2 3)", 0, "bruteforce", (S3_SHIFT_QUERIES, [2, 3, 1])),
+    ("s3", "(1 2 3)", 0, "buggy:always-trivial", "no translate accepted at level 1"),
+    ("s3", "(1 2 3)", 0, "buggy:always-nontrivial",
+     "assembled translate does not relate the two functions"),
+    ("s3", "(1 2 3)", 1, "buggy:flip:0.3", "no translate accepted at level 2"),
+    ("s3", "(1 2 3)", 2, "buggy:flip:0.3",
+     "assembled translate does not relate the two functions"),
+    ("s3", "(1 2 3)", 0, "buggy:wrong-if-order-gt:1", "no translate accepted at level 2"),
+    ("s3", "(1 2 3)", 0, "buggy:wrong-if-order-gt:2", (S3_SHIFT_QUERIES, [2, 3, 1])),
+    ("s4", "(1 3)(2 4)", 0, "bruteforce", (S4_SHIFT_QUERIES, [3, 4, 1, 2])),
+    ("s4", "(1 3)(2 4)", 0, "buggy:always-trivial", "no translate accepted at level 1"),
+    ("s4", "(1 3)(2 4)", 0, "buggy:always-nontrivial",
+     "assembled translate does not relate the two functions"),
+    ("s4", "(1 3)(2 4)", 1, "buggy:flip:0.3", "no translate accepted at level 3"),
+    ("s4", "(1 3)(2 4)", 2, "buggy:flip:0.3", "no translate accepted at level 2"),
+    ("s4", "(1 3)(2 4)", 0, "buggy:wrong-if-order-gt:5", "no translate accepted at level 2"),
+    ("s4", "(1 3)(2 4)", 0, "buggy:wrong-if-order-gt:6", (S4_SHIFT_QUERIES, [3, 4, 1, 2])),
+])
+def test_shift_search_under_every_program_spec(group, shift, seed, spec, expected):
+    """Each program spec on a hidden-shift search: the queries asked and the
+    shift found, or the failure.  A fault predicate sees the order of the
+    level group a query asks about (2, 1, 1 for S3 and 6, 2, 1, 1 for S4), so
+    ``wrong-if-order-gt`` just below the first level's order flips that
+    level's answers only."""
+    planted = payload(run(["plant", "coset", "--group", group, "--subgroup", "",
+                           "--shift", shift]))
+    result = CliRunner().invoke(
+        main, ["--seed", str(seed), "search-via-decision", "--emit-querylog",
+               "--oracle", spec], input=json.dumps(planted["outputs"]["instance"]))
+    if isinstance(expected, str):
+        assert result.exit_code == 1
+        assert result.output == f"Error: search failed: {expected}\n"
+        return
+    queries, images = expected
+    assert result.exit_code == 0
+    rep = payload(result)
+    assert rep["outputs"] == {"querylog": [{"index": q} for q in queries],
+                              "shift": {"images": images, "kind": "perm"}}
     assert rep["counters"]["decision_queries"] == len(queries)
 
 
@@ -320,6 +368,84 @@ def test_search_with_buggy_oracle_fails_loudly():
         main, ["search-via-decision", "--oracle", "buggy:always-nontrivial"],
         input=json.dumps(planted2["outputs"]["instance"]))
     assert result2.exit_code == 1
+
+
+# (seed, program spec): every deviation, and flip streams that once led a
+# search to an unconfirmed witness.
+SWEEP_SPECS = ([(0, "bruteforce"), (0, "buggy:always-trivial"),
+                (0, "buggy:always-nontrivial"), (64, "buggy:flip:0.05"),
+                (67, "buggy:flip:0.05")]
+               + [(seed, "buggy:flip:0.3") for seed in range(4)]
+               + [(0, f"buggy:wrong-if-order-gt:{b}") for b in (1, 7, 100)])
+S3_SUBGROUPS = ["", "(1 2)", "(1 3)", "(2 3)", "(1 2 3)", "(1 2 3),(1 2)"]
+# One subgroup of each of the 11 conjugacy classes of S4.
+S4_SUBGROUP_CLASSES = ["", "(1 2)", "(1 2)(3 4)", "(1 2 3)", "(1 2 3 4)",
+                       "(1 2),(3 4)", "(1 2)(3 4),(1 3)(2 4)", "(1 2 3),(1 2)",
+                       "(1 2 3 4),(1 3)", "(1 2 3),(1 2)(3 4)", "(1 2 3 4),(1 2)"]
+SMOOTH_ORDERS = [n for n in range(2, 61)
+                 if all(p <= 7 for p in range(2, n + 1) if n % p == 0
+                        and all(p % q for q in range(2, p)))]
+
+
+def _hsp_witness_confirmed(inst, outputs):
+    found = outputs["found"]
+    if found is None:  # a trivial claim only a checker can certify
+        return True
+    g = element_from_json(found)
+    f = inst.oracle.evaluate
+    return not g.is_identity() and f(g) == f(inst.group.identity)
+
+
+def _shift_witness_confirmed(inst, outputs):
+    u = element_from_json(outputs["shift"])
+    return all(inst.f1.evaluate(g) == inst.f2.evaluate(group_op(g, u))
+               for g in inst.group.elements())
+
+
+def _dihedral_witness_confirmed(inst, outputs):
+    n = inst.group.identity.rotations
+    f = inst.oracle.evaluate
+    return f(DihedralElement(n, outputs["shift_exponent"], 1)) == f(inst.group.identity)
+
+
+def _sweep_instances(family):
+    if family == "hsp":
+        for group, subgroups in (("s3", S3_SUBGROUPS), ("s4", S4_SUBGROUP_CLASSES)):
+            g = parse_group(group, DEFAULT_CAP)
+            for text in subgroups:
+                yield instances.plant_hsp(g, parse_elements(text, g), instances.Side.LEFT)
+    elif family == "shift":
+        s3, s4 = parse_group("s3", DEFAULT_CAP), parse_group("s4", DEFAULT_CAP)
+        shifts = [(s3, u) for u in s3.elements()] + [
+            (s4, parse_element(u, s4)) for u in ("(1 2 3 4)", "(1 3)(2 4)", "(2 4 3)")]
+        for group, u in shifts:
+            yield instances.plant_coset(group, (), u)
+    else:
+        for n in SMOOTH_ORDERS:
+            for a in sorted({0, 1, n // 2, n - 1}):
+                yield instances.plant_hsp(parse_group(f"d{n}", DEFAULT_CAP),
+                                          (DihedralElement(n, a, 1),), instances.Side.LEFT)
+
+
+@pytest.mark.parametrize("family, confirmed", [
+    ("hsp", _hsp_witness_confirmed), ("shift", _shift_witness_confirmed),
+    ("dihedral", _dihedral_witness_confirmed)])
+def test_every_search_returns_a_confirmed_witness_or_fails(family, confirmed):
+    """Under every program spec a search either exits 0 with a witness the
+    instance confirms (a non-identity element labelled like the identity, a u
+    with f1(g) = f2(g u) for every g, an r^a s in the kernel) or exits 1 with
+    a search failure.  A permutation search may also claim no witness."""
+    unconfirmed = []
+    for inst in _sweep_instances(family):
+        stdin = json.dumps(instances.instance_to_json(inst))
+        for seed, spec in SWEEP_SPECS:
+            result = CliRunner().invoke(main, ["--seed", str(seed), "search-via-decision",
+                                               "--oracle", spec], input=stdin)
+            if result.exit_code == 1:
+                assert result.output.startswith("Error: search failed: "), result.output
+            elif result.exit_code != 0 or not confirmed(inst, payload(result)["outputs"]):
+                unconfirmed.append((stdin, seed, spec, result.output))
+    assert unconfirmed == []
 
     shift = payload(run(["plant", "coset", "--group", "s3", "--subgroup", "",
                          "--shift", "(1 2 3)"]))

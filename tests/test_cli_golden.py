@@ -3,7 +3,9 @@
 Each pipeline runs in process, feeding ``outputs.instance`` of one report to
 the next command on stdin.  A report's digest is the SHA-256 of its stdout
 with the ``elapsed_s`` line removed, so any change to a query, an answer, a
-counter or the report layout shows up here.
+counter or the report layout shows up here.  ``python tests/test_cli_golden.py``
+prints the pinned and fresh digests of every pipeline and names those that
+differ; it never rewrites this file.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ PIPELINES = [
     ("readme-d60-dihedral",
      [["plant", "hsp", "--group", "d60", "--subgroup", "r37s"],
       ["search-via-decision", "--smooth-bound", "5"]],
-     ["9b7500c7d39bc62c", "828bd5943ea9c454"]),
+     ["9b7500c7d39bc62c", "a654f32f1d20e5ed"]),
     ("readme-s3-check-always-trivial",
      [S3_C2, ["--seed", "1", "check", "--program", "buggy:always-trivial",
               "--k", "7", "--runs", "100"]],
@@ -107,7 +109,7 @@ PIPELINES = [
     ("d12-dihedral-smooth-bound-3",
      [["plant", "hsp", "--group", "d12", "--subgroup", "r5s"],
       ["search-via-decision", "--smooth-bound", "3"]],
-     ["3f84e1ad83984ead", "01864681bff8d5e3"]),
+     ["3f84e1ad83984ead", "7db8a7c849780527"]),
     ("check-decision-wrong-if-order-gt-6-seed-13",
      [S3_C2, ["--seed", "13", "check", "--flavor", "decision",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
@@ -147,3 +149,25 @@ def run_pipeline(commands, monkeypatch):
                          [p[1:] for p in PIPELINES], ids=[p[0] for p in PIPELINES])
 def test_golden_cli_output(commands, expected, monkeypatch):
     assert run_pipeline(commands, monkeypatch) == expected
+
+
+def digest_report() -> list[str]:
+    """Print each pipeline's pinned and freshly computed digests; return the
+    names of the pipelines that differ.  Reads PIPELINES, never rewrites it."""
+    moved = []
+    for name, commands, pinned in PIPELINES:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            try:
+                fresh = run_pipeline(commands, monkeypatch)
+            except AssertionError as exc:
+                fresh = [f"failed: {exc}"]
+        print(f"{name}\n  pinned: {' '.join(pinned)}\n  fresh:  {' '.join(fresh)}")
+        if fresh != pinned:
+            moved.append(name)
+    print("differ: " + (", ".join(moved) or "none"))
+    return moved
+
+
+if __name__ == "__main__":
+    # python tests/test_cli_golden.py: the digest report, exit 1 if any differ.
+    sys.exit(1 if digest_report() else 0)

@@ -8,11 +8,12 @@ from cosetlab.checking import (BruteForceDecisionOracle, BruteForceShiftOracle,
 from cosetlab.groups import (DihedralElement, FiniteGroup, close_under_op,
                              cyclic_group, dihedral_group, element_key, group_op,
                              invert, symmetric_group, wreath_group)
-from cosetlab.instances import HspInstance, Side, plant_coset, plant_hsp
+from cosetlab.instances import (HiddenCosetInstance, HspInstance, Side, plant_coset,
+                                plant_hsp)
 from cosetlab.perms import build_stabilizer_chain, parse_cycles
 from cosetlab.reductions import (GammaSetStabilizer, PairedOracle, StructuredHspInstance,
                                  embed_wreath_group)
-from cosetlab.search_decision import (DecisionAnswer, NoShiftError, NotSmoothError,
+from cosetlab.search_decision import (DecisionAnswer, NotSmoothError,
                                       OracleInconsistentError,
                                       build_hsp_search_plan, crt_combine,
                                       dihedral_search_via_decision,
@@ -322,12 +323,13 @@ def test_each_planted_label_is_read_once():
     """A truth-table search reads the planted oracle once per group element,
     and a checker call's translate trials read it at most once per element
     between them, so the count does not move with k.  A dihedral search
-    reads the instance's kernel once: the identity, then every element."""
+    reads the instance's kernel once (the identity, then every element) and
+    confirms its r^a s with two direct reads."""
     for n, shifts in ((12, range(12)), (60, (0, 37, 59)), (360, (0, 121, 359))):
         for a in shifts:
             inst = dihedral_instance(n, a)
             dihedral_search_via_decision(inst, 5, BruteForceDecisionOracle())
-            assert inst.oracle.evaluations <= inst.group.order() + 1, (n, a)
+            assert inst.oracle.evaluations == inst.group.order() + 3, (n, a)
     for group in (symmetric_group(3), symmetric_group(4)):
         for gens in subgroups_of(group):
             inst = plant_hsp(group, gens, Side.LEFT)
@@ -352,7 +354,7 @@ def test_shift_search_exhaustive_s3():
     for u in s3.elements():
         hc = plant_coset(s3, (), u)
         oracle = BruteForceShiftOracle()
-        got = hsh_search_via_decision(s3, hc.f1, hc.f2, oracle)
+        got = hsh_search_via_decision(hc, oracle)
         assert got == u
         # level-by-level query budget: one existence probe plus at most one
         # probe per representative
@@ -368,7 +370,7 @@ def test_shift_search_identity_shift_uses_one_query_per_level():
     s4 = symmetric_group(4)
     hc = plant_coset(s4, (), s4.identity)
     oracle = BruteForceShiftOracle()
-    got = hsh_search_via_decision(s4, hc.f1, hc.f2, oracle)
+    got = hsh_search_via_decision(hc, oracle)
     assert got.is_identity()
     assert oracle.calls == 4
 
@@ -380,7 +382,7 @@ def test_shift_search_random_s4():
     for _ in range(10):
         u = rng.choice(elems)
         hc = plant_coset(s4, (), u)
-        got = hsh_search_via_decision(s4, hc.f1, hc.f2, BruteForceShiftOracle())
+        got = hsh_search_via_decision(hc, BruteForceShiftOracle())
         assert got == u
         for g in elems:
             assert hc.f1.evaluate(g) == hc.f2.evaluate(group_op(g, got))
@@ -393,8 +395,9 @@ def test_shift_search_unrelated_functions():
     # injective but unrelated to f1 by any right translate
     scramble = {element_key(g): i * i + 1 for i, g in enumerate(s3.elements())}
     rogue = OracleFunction(lambda g: scramble[element_key(g)])
-    with pytest.raises(NoShiftError):
-        hsh_search_via_decision(s3, hc.f1, rogue, BruteForceShiftOracle())
+    with pytest.raises(OracleInconsistentError):
+        hsh_search_via_decision(HiddenCosetInstance(s3, hc.f1, rogue),
+                                BruteForceShiftOracle())
 
 
 def test_shift_search_rejects_lying_oracle():
@@ -402,8 +405,8 @@ def test_shift_search_rejects_lying_oracle():
     hc = plant_coset(s3, (), parse_cycles("(1 2 3)", 3))
     liar = wrap_buggy(BruteForceShiftOracle(), BugSpec("always_nontrivial"))
     before = hc.f1.evaluations + hc.f2.evaluations
-    with pytest.raises(NoShiftError):
-        hsh_search_via_decision(s3, hc.f1, hc.f2, liar)
+    with pytest.raises(OracleInconsistentError):
+        hsh_search_via_decision(hc, liar)
     assert hc.f1.evaluations + hc.f2.evaluations == before + 2
 
 

@@ -21,7 +21,7 @@ from .instances import (GhshInstance, GroupAction, HiddenCosetInstance, HspInsta
                         instance_to_json, plant_coset, plant_ghsh,
                         plant_hidden_shift, plant_hsp, plant_orbit_coset,
                         verify_promise)
-from .reductions import (Constraint, GammaSetStabilizer, InvalidKGeneratorsError,
+from .reductions import (GammaSetStabilizer, InvalidKGeneratorsError,
                          PairedOracle, StructuredHspInstance, SubgroupConstraint,
                          embed_wreath_instance, ghsh_to_hsp, hidden_coset_to_hsp,
                          orbit_coset_to_hsp, recover_coset_solution,

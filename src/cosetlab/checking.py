@@ -21,8 +21,8 @@ from .groups import (FiniteGroup, GroupElement, WreathElement,
                      reduce_generators, wreath_group, wreath_unembed)
 from .instances import (GhshInstance, HiddenCosetInstance, HspInstance, Label,
                         OracleFunction, OrbitCosetInstance, Side, relating_shifts)
-from .perms import (Permutation, StabilizerChain, build_stabilizer_chain,
-                    random_element)
+from .perms import (ExceedsCapError, Permutation, StabilizerChain,
+                    build_stabilizer_chain, random_element)
 from .reductions import (InvalidKGeneratorsError, PairedOracle, StructuredHspInstance,
                          embed_wreath_group, embed_wreath_oracle, recover_coset_solution)
 from .search_decision import (DecisionAnswer, DecisionOracle,
@@ -109,8 +109,8 @@ class BruteForceShiftOracle(DecisionOracle):
 class BruteSearchProgram(DecisionOracle):
     """A hidden-subgroup search program: instance -> subgroup generators."""
 
-    def _answer(self, inst: HspInstance) -> list[GroupElement]:
-        return brute_hsp_solve(inst)
+    def _answer(self, query: QueryRecord) -> list[GroupElement]:
+        return brute_hsp_solve(query.instance)
 
 
 # -- fault injection -------------------------------------------------------------------
@@ -155,14 +155,13 @@ class BuggyProgram(DecisionOracle):
     """Wraps any program so its answers deviate exactly as ``spec`` says.
 
     What the modes mean per protocol: a decision program answers a
-    :class:`QueryRecord` TRIVIAL or NONTRIVIAL.  A search program
-    always-trivial claims no generators; always-nontrivial keeps an honest
-    nontrivial claim and otherwise claims the first non-identity group
-    generator.  A wrong answer is the other decision, or ``spec.mutate``
-    applied to a search answer.  The predicate sees the instance the program
-    is asked about: a decision record's (a dihedral search's has the
-    instance's D_n as its group, a shift search's the level group) or the
-    search program's input.
+    :class:`QueryRecord` TRIVIAL or NONTRIVIAL.  A search program, asked a
+    record holding an :class:`HspInstance`, always-trivial claims no
+    generators; always-nontrivial keeps an honest nontrivial claim and
+    otherwise claims the first non-identity group generator.  A wrong answer
+    is the other decision, or ``spec.mutate`` applied to a search answer.
+    The predicate sees the record's instance (a dihedral search's has the
+    instance's D_n as its group, a shift search's the level group).
     Flips draw from one ``random.Random(spec.seed)`` stream, in call order.
     """
 
@@ -174,7 +173,7 @@ class BuggyProgram(DecisionOracle):
 
     def _answer(self, query):
         spec = self.spec
-        search = isinstance(query, HspInstance)
+        search = isinstance(query.instance, HspInstance)
         if spec.mode == "always_trivial":
             return [] if search else DecisionAnswer.TRIVIAL
         if spec.mode == "always_nontrivial" and not search:
@@ -183,12 +182,12 @@ class BuggyProgram(DecisionOracle):
         if spec.mode == "always_nontrivial":
             if honest:
                 return honest
-            fake = [g for g in query.group.generators if not g.is_identity()]
+            fake = [g for g in query.instance.group.generators if not g.is_identity()]
             return fake[:1]
         if spec.mode == "flip_with_prob":
             wrong = self._rng.random() < spec.flip_probability
         else:
-            wrong = spec.predicate(query if search else query.instance)
+            wrong = spec.predicate(query.instance)
         if not wrong:
             return honest
         if search:
@@ -343,6 +342,20 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
     return _judge_trials(program, plans, judge, transcript, calls_before)
 
 
+def _rejected_claim(inst: HspInstance, claimed: Sequence[GroupElement]) -> str:
+    """Why a claimed generator is not in the hidden subgroup, or "" when every
+    one shares the identity's label.  The claim is untrusted, so a generator
+    the oracle cannot even read is rejected, not raised."""
+    base_label = inst.oracle.evaluate(inst.group.identity)
+    for s in claimed:
+        try:
+            if inst.oracle.evaluate(s) != base_label:
+                return f"{s} is not in the hidden subgroup"
+        except Exception as exc:
+            return f"claimed generator {s} rejected: {exc}"
+    return ""
+
+
 def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
                 seed: int = 0) -> CheckerVerdict:
     """Certify a search program's output on one instance.
@@ -358,26 +371,21 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
     calls_before = program.calls
     transcript: list[TrialRecord] = []
 
-    claimed = program.answer(inst)
-    base_label = inst.oracle.evaluate(inst.group.identity)
-    members_ok = True
-    detail = ""
-    for s in claimed:
-        try:
-            if inst.oracle.evaluate(s) != base_label:
-                members_ok = False
-                detail = f"{s} is not in the hidden subgroup"
-                break
-        except Exception as exc:
-            members_ok = False
-            detail = f"claimed generator {s} rejected: {exc}"
-            break
+    claimed = program.answer(QueryRecord(("whole-input",), inst))
+    detail = _rejected_claim(inst, claimed)
+    try:
+        claimed_closure = set(close_under_op(claimed, inst.group.identity, inst.group.cap))
+    except (ValueError, ExceedsCapError) as exc:
+        claimed_closure = None
+        detail = detail or f"claimed generators do not close: {exc}"
     transcript.append(TrialRecord("members", "claimed generators lie in the subgroup",
-                                  members_ok, detail))
-    claimed_closure = set(close_under_op(claimed, inst.group.identity, inst.group.cap))
+                                  not detail, detail))
+    if claimed_closure is None:
+        # No claimed subgroup is left for the trials to compare with.
+        return _verdict(transcript, program.calls - calls_before)
 
-    def judge(t, u, flat):
-        claimed_emb = program.answer(flat)
+    def judge(t, u, record):
+        claimed_emb = program.answer(record)
         try:
             k_gens = [wreath_unembed(p, n) for p in claimed_emb]
             sub_gens, u_prime = recover_coset_solution(k_gens)
@@ -392,5 +400,6 @@ def checker_hsp(program: DecisionOracle, inst: HspInstance, k: int,
                                "recovered shift lies outside the claimed coset")
         return TrialRecord(t, "translate trial", True)
 
-    trials = _translate_trials(inst, k, seed)
-    return _judge_trials(program, trials, judge, transcript, calls_before)
+    records = [(t, u, QueryRecord((t,), flat))
+               for t, u, flat in _translate_trials(inst, k, seed)]
+    return _judge_trials(program, records, judge, transcript, calls_before)

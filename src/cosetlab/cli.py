@@ -429,9 +429,8 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
             ident = instance.group.identity
             oracle = _program(BruteForceDecisionOracle(), bug)
             if isinstance(ident, DihedralElement):
-                # _load_and_verify checked that the planted closure is the kernel.
-                hidden = close_under_op(instance.planted_subgroup, ident,
-                                        instance.group.cap)
+                # Verified to be the planted subgroup; cached, the search reuses it.
+                hidden = instance.kernel()
                 if len(hidden) != 2 or not any(g.flip for g in hidden):
                     raise InputError("dihedral search needs a hidden subgroup {id, r^a s}")
                 with _input_errors():  # an order that is not smooth

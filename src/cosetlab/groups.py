@@ -591,10 +591,13 @@ def wreath_embed(w: WreathElement) -> Permutation:
 def wreath_unembed(p: Permutation, n: int) -> WreathElement:
     """Two-sided inverse of :func:`wreath_embed` on its image.
 
-    Raises ValueError when ``p`` does not respect the two-column structure.
-    A permutation sending each column wholly into one column sends it onto
-    that column, so the slot tuples read off it are bijections.
+    Raises ValueError when ``p`` is not a permutation of 2n points respecting
+    the two-column structure.  A permutation sending each column wholly into
+    one column sends it onto that column, so the slot tuples read off it are
+    bijections.
     """
+    if not isinstance(p, Permutation):
+        raise ShapeMismatchError(f"expected a permutation, got {p}")
     if p.degree != 2 * n:
         raise ValueError(f"expected degree {2 * n}, got {p.degree}")
     images = p.images

@@ -17,7 +17,7 @@ import enum
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, close_under_op,
-                     element_from_json, element_key, element_pow, element_to_json,
+                     element_from_json, element_key, element_to_json,
                      group_from_json, group_op, group_to_json, invert,
                      reduce_generators)
 from .perms import ExceedsCapError
@@ -187,9 +187,9 @@ class GroupAction:
     """A left action of a finite group on opaque states, given on generators.
 
     ``generator_images[k][s]`` is the state index reached from state ``s``
-    under generator ``k``.  The action of arbitrary elements is derived by
-    breadth-first extension and checked to be a homomorphism on the closure,
-    which the group's cap bounds.
+    under generator ``k``.  The action of every element is read off the
+    group's closure, which the group's cap bounds, and checked to be a
+    homomorphism on each of its generator edges.
     """
 
     def __init__(self, group: FiniteGroup, states: tuple[str, ...],
@@ -203,34 +203,16 @@ class GroupAction:
         self.group = group
         self.states = states
         self.generator_images = generator_images
-        self._perms: dict = {}
-        self._build()
-
-    def _build(self) -> None:
-        cap = self.group.cap
-        ident = self.group.identity
-        m = len(self.states)
-        self._perms[ident] = tuple(range(m))
-        # Each element enters the frontier once and each of its generator
-        # edges either defines its target or is compared with it, so the
-        # pass checks the homomorphism property on every edge of the closure.
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                px = self._perms[x]
-                for g, row in zip(self.group.generators, self.generator_images):
-                    y = group_op(x, g)
-                    # left action: (x g) . s = x . (g . s)
-                    py = tuple(px[row[s]] for s in range(m))
-                    if y not in self._perms:
-                        self._perms[y] = py
-                        nxt.append(y)
-                        if len(self._perms) > cap:
-                            raise ExceedsCapError(f"action closure exceeds cap {cap}")
-                    elif self._perms[y] != py:
-                        raise ValueError("generator table does not extend to a group action")
-            frontier = nxt
+        self._perms = perms = {group.identity: tuple(range(m))}
+        # Breadth-first, so an edge from an earlier element defines each one
+        # before the walk reaches it; every edge defines or checks its target.
+        for x in close_under_op(group.generators, group.identity, group.cap):
+            px = perms[x]
+            for g, row in zip(group.generators, generator_images):
+                # left action: (x g) . s = x . (g . s)
+                py = tuple([px[r] for r in row])
+                if perms.setdefault(group_op(x, g), py) != py:
+                    raise ValueError("generator table does not extend to a group action")
 
     def act(self, x: GroupElement, state: int) -> int:
         perm = self._perms.get(x)
@@ -242,7 +224,7 @@ class GroupAction:
         return {perm[state] for perm in self._perms.values()}
 
     def stabilizer_elements(self, state: int) -> list[GroupElement]:
-        return [g for g in self.group.elements() if self.act(g, state) == state]
+        return [g for g, perm in self._perms.items() if perm[state] == state]
 
     def stabilizer_generators(self, state: int) -> list[GroupElement]:
         return reduce_generators(self.stabilizer_elements(state), self.group.identity,
@@ -320,11 +302,13 @@ def plant_ghsh(group: FiniteGroup, shift: GroupElement, copies: int) -> GhshInst
     if not group.contains(shift):
         raise PromiseViolationError(f"shift outside the group: {shift}")
     funcs = []
+    shift_inv = invert(shift)
+    prefix = group.identity  # u^(1-i), one step further per function
     for i in range(1, copies + 1):
-        prefix = element_pow(shift, 1 - i)
         funcs.append(OracleFunction(
             lambda g, prefix=prefix: element_key(group_op(prefix, g)),
             description=f"f{i}"))
+        prefix = group_op(prefix, shift_inv)
     return GhshInstance(group, tuple(funcs), planted_shift=shift)
 
 

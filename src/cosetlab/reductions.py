@@ -257,14 +257,7 @@ def recover_orbit_solution(k_gens: Sequence[WreathElement], oc: OrbitCosetInstan
 # -- intersection gadget -----------------------------------------------------------
 
 
-class Constraint:
-    """Membership predicate standing in for one factor of the product domain."""
-
-    def contains(self, x: GroupElement) -> bool:
-        raise NotImplementedError
-
-
-class SubgroupConstraint(Constraint):
+class SubgroupConstraint:
     """Membership in a generated group, listed on the first test."""
 
     def __init__(self, group: FiniteGroup):
@@ -272,7 +265,7 @@ class SubgroupConstraint(Constraint):
         self.contains = group.contains
 
 
-class GammaSetStabilizer(Constraint):
+class GammaSetStabilizer:
     """Setwise stabilizer of doubled points (row, column), columns 1-based,
     tested on two-slot wreath elements over permutations.
 
@@ -316,7 +309,7 @@ def _doubled_point_test(shift0: tuple, shift1: tuple) -> Callable[[GroupElement]
     return test
 
 
-def _conjunction(constraints: tuple[Constraint, ...]) -> Callable[[GroupElement], bool]:
+def _conjunction(constraints: tuple) -> Callable[[GroupElement], bool]:
     """One predicate for every constraint at once; the first failure decides.
     Doubled-point stabilizers join their conditions into one compiled test."""
     if len(constraints) == 1:
@@ -351,7 +344,7 @@ class StructuredHspInstance:
     __slots__ = ("base", "constraints", "accepts", "_kernel")
 
     def __init__(self, base: HspInstance | StructuredHspInstance,
-                 constraints: Sequence[Constraint] = ()):
+                 constraints: Sequence[SubgroupConstraint | GammaSetStabilizer] = ()):
         self.base = base
         self.constraints = tuple(constraints)
         self.accepts = _conjunction(self.constraints)

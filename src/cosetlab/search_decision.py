@@ -93,22 +93,21 @@ class CallLogEntry(NamedTuple):
 class DecisionOracle:
     """Base class for every program the reductions and checkers query.
 
-    Two protocols: a decision program answers a :class:`QueryRecord` (a
-    hidden-subgroup or hidden-coset record) with a :class:`DecisionAnswer`,
-    and a search program answers a bare :class:`HspInstance` with a list of
-    subgroup generators.  ``answer`` logs each call with a stamp, then defers
-    to ``_answer``.
+    Every call is a :class:`QueryRecord`.  A decision program answers a
+    hidden-subgroup or hidden-coset record with a :class:`DecisionAnswer`; a
+    search program answers a record holding an :class:`HspInstance` with a
+    list of subgroup generators.  ``answer`` logs each call with a stamp and
+    the record's index, then defers to ``_answer``.
     """
 
     def __init__(self):
         self.call_log: list[CallLogEntry] = []
 
-    def answer(self, query):
-        # A search program's query is an instance, which carries no index.
-        self.call_log.append(CallLogEntry(event_stamp(), getattr(query, "index", ())))
+    def answer(self, query: QueryRecord):
+        self.call_log.append(CallLogEntry(event_stamp(), query.index))
         return self._answer(query)
 
-    def _answer(self, query):
+    def _answer(self, query: QueryRecord):
         raise NotImplementedError
 
     @property

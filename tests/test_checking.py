@@ -14,7 +14,7 @@ from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
                              invert, symmetric_group, wreath_embed, wreath_unembed)
 from cosetlab.instances import (GroupAction, OracleFunction, Side, plant_coset,
                                 plant_ghsh, plant_hsp, plant_orbit_coset)
-from cosetlab.perms import parse_cycles
+from cosetlab.perms import Permutation, parse_cycles
 from cosetlab.reductions import StructuredHspInstance, SubgroupConstraint
 from cosetlab.search_decision import (DecisionAnswer, QueryRecord,
                                       hsp_search_via_decision)
@@ -207,30 +207,67 @@ def test_checker_hsp_rejects_proper_subgroup():
     assert verdict.verdict == "BUGGY"
 
 
-def test_checker_hsp_rejects_shift_outside_coset():
-    s3 = symmetric_group(3)
-    swap = parse_cycles("(1 2)", 3)
-    inst = plant_hsp(s3, (swap,), Side.LEFT)
-    outside = parse_cycles("(1 2 3)", 3)  # not in <(1 2)>
+def _trials_claim_shift(v):
+    """A search program that answers every trial honestly except that each
+    slot-swapping generator it names becomes ((v^-1, v); 1)."""
 
     def fake_shift(gens):
         out = []
         for p in gens:
             w = wreath_unembed(p, 3)
             if w.shift == 1:
-                out.append(wreath_embed(WreathElement((invert(outside), outside), 1)))
+                out.append(wreath_embed(WreathElement((invert(v), v), 1)))
             else:
                 out.append(p)
         return out
 
-    program = wrap_buggy(
+    return wrap_buggy(
         BruteSearchProgram(),
         BugSpec("wrong_on_matching", mutate=fake_shift,
                 predicate=lambda i: i.group.identity.degree == 6))
-    verdict = checker_hsp(program, inst, k=4, seed=13)
+
+
+def test_checker_hsp_rejects_shift_outside_coset():
+    s3 = symmetric_group(3)
+    swap = parse_cycles("(1 2)", 3)
+    inst = plant_hsp(s3, (swap,), Side.LEFT)
+    outside = parse_cycles("(1 2 3)", 3)  # not in <(1 2)>
+    verdict = checker_hsp(_trials_claim_shift(outside), inst, k=4, seed=13)
     assert verdict.verdict == "BUGGY"
     reasons = [t.detail for t in verdict.transcript if not t.ok]
     assert any("coset" in r or "subgroup" in r for r in reasons)
+
+
+def test_checker_hsp_rejects_a_shift_outside_the_trivial_coset():
+    # Over the trivial subgroup the fake swap recovers the right (trivial)
+    # subgroup, so only the shift check can catch it: on every trial whose
+    # planted u is not v.
+    inst = plant_hsp(symmetric_group(3), (), Side.LEFT)
+    v = parse_cycles("(1 2 3)", 3)
+    verdict = checker_hsp(_trials_claim_shift(v), inst, k=4, seed=13)
+    assert verdict.verdict == "BUGGY"
+    failed = [t.detail for t in verdict.transcript if not t.ok]
+    assert failed == ["recovered shift lies outside the claimed coset"] * 3
+
+
+@pytest.mark.parametrize("claim, trials_only", [
+    pytest.param(Permutation((2, 1, 3, 4)), False, id="degree-4-claim"),
+    pytest.param(CyclicElement(3, 1), False, id="cyclic-claim"),
+    pytest.param(CyclicElement(3, 1), True, id="cyclic-trial-claim"),
+])
+def test_checker_hsp_rejects_a_malformed_claim(claim, trials_only):
+    # The program under check is untrusted: a claim of the wrong shape is a
+    # BUGGY verdict naming it, not an exception.
+    inst = plant_hsp(symmetric_group(3), (), Side.LEFT)
+    program = wrap_buggy(
+        BruteSearchProgram(),
+        BugSpec("wrong_on_matching", mutate=lambda gens: [claim],
+                predicate=lambda i: not trials_only or i.group.identity.degree == 6))
+    verdict = checker_hsp(program, inst, k=2, seed=0)
+    assert verdict.verdict == "BUGGY"
+    rejected = [t for t in verdict.transcript if not t.ok]
+    assert rejected and all(str(claim) in t.detail for t in rejected)
+    assert rejected[0].index == (0 if trials_only else "members")
 
 
 def test_checker_hsp_nonadaptive_trials():
@@ -240,6 +277,7 @@ def test_checker_hsp_nonadaptive_trials():
     verdict = checker_hsp(program, inst, k=4, seed=1)
     assert verdict.verdict == "CORRECT"
     assert verdict.construction_done_stamp < verdict.first_trial_call_stamp
+    assert [e.index for e in program.call_log] == [("whole-input",), (0,), (1,), (2,), (3,)]
 
 
 def test_checker_requires_left_side_instances():

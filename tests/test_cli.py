@@ -577,13 +577,20 @@ def test_instance_the_command_cannot_take_exits_2(plant_args, args):
 
 @pytest.mark.parametrize("subgroup", ["", "r2", "r1s,r2"])
 def test_dihedral_search_rejects_a_hidden_subgroup_it_cannot_find(subgroup):
-    # The dihedral search finds a hidden {id, r^a s} only; the closure of the
-    # planted generators decides before any query, whatever the oracle.
+    # The dihedral search finds a hidden {id, r^a s} only; the instance's
+    # kernel decides before any query, whatever the oracle.
     instance = json.dumps(payload(run(["plant", "hsp", "--group", "d6", "--subgroup",
                                        subgroup]))["outputs"]["instance"])
     code, error = _error_exit(["search-via-decision", "--smooth-bound", "3"], instance)
     assert code == 2
     assert "{id, r^a s}" in error["error"]
+
+
+def test_action_closure_past_the_cap_exits_2():
+    code, error = _error_exit(["--cap", "3", "plant", "orbit-coset", "--action",
+                               "cyclic:6"], None)
+    assert code == 2
+    assert error["error"] == "closure exceeds cap 3"
 
 
 @pytest.mark.parametrize("args", [

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cosetlab import groups
 from cosetlab.groups import (CyclicElement, close_under_op, cyclic_group,
                              dihedral_group, element_key, group_op,
                              symmetric_group)
@@ -112,6 +113,16 @@ def test_plant_ghsh_chain_relations():
 
     with pytest.raises(ValueError):
         plant_ghsh(z5, u, 1)
+
+
+def test_plant_ghsh_composes_once_per_function(monkeypatch):
+    s3 = symmetric_group(3)
+    s3.elements()
+    calls = []
+    compose = groups.compose
+    monkeypatch.setattr(groups, "compose", lambda x, y: calls.append(1) or compose(x, y))
+    plant_ghsh(s3, parse_cycles("(1 2 3)", 3), 500)
+    assert len(calls) <= 1000
 
 
 def test_ghsh_shift_unique():

@@ -20,8 +20,8 @@ from .checking import (BruteForceDecisionOracle, BruteForceShiftOracle,
                        BruteSearchProgram, BugSpec, brute_coset_solve,
                        brute_ghsh_solve, brute_hsp_solve, brute_orbit_solve,
                        checker_hsp, checker_hspD, require_checkable, wrap_buggy)
-from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, close_under_op,
-                     cyclic_group, dihedral_group, element_from_json, element_to_json,
+from .groups import (DEFAULT_CAP, DihedralElement, FiniteGroup, cyclic_group,
+                     dihedral_group, element_from_json, element_to_json,
                      symmetric_group, wreath_group)
 from .instances import (GhshInstance, GroupAction, HiddenCosetInstance,
                         HspInstance, OrbitCosetInstance, Side, instance_to_json,
@@ -318,9 +318,8 @@ def plant_hsp_cmd(ctx, group_text, subgroup_text, side):
         group = parse_group(group_text, ctx.obj["cap"])
         gens = parse_elements(subgroup_text, group)
         inst = _verified(plant_hsp(group, gens, Side(side)))
-    # The promise just verified makes the labels the planted subgroup's cosets.
-    hidden = close_under_op(gens, group.identity, group.cap)
-    _emit_planted(ctx, inst, distinct_labels=group.order() // len(hidden))
+    # The labels are the cosets of the kernel the verification left cached.
+    _emit_planted(ctx, inst, distinct_labels=group.order() // len(inst.kernel()))
 
 
 @plant.command("coset")
@@ -429,7 +428,8 @@ def search_cmd(ctx, path, oracle_text, emit_querylog, smooth_bound):
             ident = instance.group.identity
             oracle = _program(BruteForceDecisionOracle(), bug)
             if isinstance(ident, DihedralElement):
-                # Verified to be the planted subgroup; cached, the search reuses it.
+                # Verification left the kernel cached: this check and the
+                # search's queries read it and evaluate no label.
                 hidden = instance.kernel()
                 if len(hidden) != 2 or not any(g.flip for g in hidden):
                     raise InputError("dihedral search needs a hidden subgroup {id, r^a s}")

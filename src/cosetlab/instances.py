@@ -107,15 +107,24 @@ class HspInstance:
         self._kernel: list[GroupElement] | None = None
 
     def kernel(self) -> list[GroupElement]:
-        """Elements sharing the identity's label; equals the hidden subgroup
-        when the promise holds.  The oracle selects them from a stream of the
-        group, so large structured groups are never held in memory at once;
-        cached after the first call."""
+        """Elements sharing the identity's label, in stream order; equals the
+        hidden subgroup when the promise holds.  A verification that the
+        promise holds leaves the kernel it found here.  Otherwise the oracle
+        selects it from a stream of the group, so large structured groups are
+        never held in memory at once; cached after the first call."""
         if self._kernel is None:
             oracle = self.oracle
             base = oracle.evaluate(self.group.identity)
             self._kernel = oracle.select(self.group.iter_elements(), base)
         return self._kernel
+
+
+def _label_tables(group: FiniteGroup,
+                  functions: Iterable[OracleFunction]) -> tuple[dict, ...]:
+    """Each function read once on every element of the group: one table per
+    function, keyed by element, in element order."""
+    elems = group.elements()
+    return tuple({g: f.evaluate(g) for g in elems} for f in functions)
 
 
 def relating_shifts(elements: list[GroupElement], f1: Callable[[GroupElement], Label],
@@ -146,10 +155,23 @@ class HiddenCosetInstance:
         self.f2 = f2
         self.planted_subgroup = planted_subgroup
         self.planted_shift = planted_shift
+        self._tables: tuple[dict, ...] | None = None
+        self._shifts: list[GroupElement] | None = None
+
+    def label_tables(self) -> tuple[dict, ...]:
+        """The tables of f1 and f2, each read once per element; cached."""
+        if self._tables is None:
+            self._tables = _label_tables(self.group, (self.f1, self.f2))
+        return self._tables
 
     def brute_shift_set(self) -> list[GroupElement]:
-        return list(relating_shifts(self.group.elements(), self.f1.evaluate,
-                                    self.f2.evaluate))
+        """Every valid shift, in element order, read off the label tables;
+        cached."""
+        if self._shifts is None:
+            t1, t2 = self.label_tables()
+            self._shifts = list(relating_shifts(self.group.elements(), t1.__getitem__,
+                                                t2.__getitem__))
+        return self._shifts
 
 
 class GhshInstance:
@@ -162,6 +184,8 @@ class GhshInstance:
         self.group = group
         self.functions = functions
         self.planted_shift = planted_shift
+        self._tables: tuple[dict, ...] | None = None
+        self._shifts: list[GroupElement] | None = None
 
     @property
     def copies(self) -> int:
@@ -171,16 +195,23 @@ class GhshInstance:
         """Uniform access to the function family, 1-based index."""
         return self.functions[i - 1].evaluate(g)
 
+    def label_tables(self) -> tuple[dict, ...]:
+        """One table per function, each read once per element; cached."""
+        if self._tables is None:
+            self._tables = _label_tables(self.group, self.functions)
+        return self._tables
+
     def brute_shift_set(self) -> list[GroupElement]:
-        elems = self.group.elements()
-        out = []
-        for v in elems:
-            ok = all(self.functions[i].evaluate(g)
-                     == self.functions[i + 1].evaluate(group_op(v, g))
-                     for i in range(len(self.functions) - 1) for g in elems)
-            if ok:
-                out.append(v)
-        return out
+        """Every v with f_i(g) = f_{i+1}(v g) for all i and g, in element
+        order, read off the label tables; cached."""
+        if self._shifts is None:
+            tables = self.label_tables()
+            pairs = tuple(zip(tables, tables[1:]))
+            elems = self.group.elements()
+            self._shifts = [v for v in elems
+                            if all(t[g] == nxt[group_op(v, g)]
+                                   for t, nxt in pairs for g in elems)]
+        return self._shifts
 
 
 class GroupAction:
@@ -197,6 +228,8 @@ class GroupAction:
         if len(generator_images) != len(group.generators):
             raise ValueError("one image row per generator required")
         m = len(states)
+        if len(set(states)) != m:
+            raise ValueError("state names must be distinct")
         for row in generator_images:
             if sorted(row) != list(range(m)):
                 raise ValueError(f"action row is not a permutation of states: {row}")
@@ -336,6 +369,11 @@ def verify_promise(instance) -> bool:
     subgroup whose closure equals the kernel proves the kernel is a subgroup,
     and the cosets of a subgroup partition the group, so each coset is
     checked once rather than once per member.
+
+    Verification reads each function once per element, and what it finds
+    stays with the instance for the solvers: a hidden-subgroup instance that
+    keeps its promise caches its kernel, and coset and shift-chain instances
+    cache their label tables and shift set.
     """
     if isinstance(instance, HspInstance):
         return _verify_hsp(instance)
@@ -366,7 +404,8 @@ def _verify_hsp(inst: HspInstance) -> bool:
     closure check runs only without one.  Once the kernel is a subgroup its
     cosets partition the group and ``xK = gK`` for every ``x`` in ``gK``, so
     a single sweep that builds a coset only from an element no earlier coset
-    covered checks every coset exactly once.
+    covered checks every coset exactly once.  When the promise holds, the
+    kernel, in element order, is left as the instance's cached kernel.
     """
     elems = inst.group.elements()
     labels = {g: inst.oracle.evaluate(g) for g in elems}
@@ -403,6 +442,7 @@ def _verify_hsp(inst: HspInstance) -> bool:
             member = group_op(g, h) if left else group_op(h, g)
             if uncovered.pop(member, _MISSING) != lab:
                 return False
+    inst._kernel = kernel
     return True
 
 
@@ -410,8 +450,9 @@ def _verify_coset(inst: HiddenCosetInstance) -> bool:
     shifts = inst.brute_shift_set()
     if not shifts:
         return False
-    base = inst.f1.evaluate(inst.group.identity)
-    kernel = [g for g in inst.group.elements() if inst.f1.evaluate(g) == base]
+    labels = inst.label_tables()[0]
+    base = labels[inst.group.identity]
+    kernel = [g for g, lab in labels.items() if lab == base]
     v = shifts[0]
     expected = {group_op(h, v) for h in kernel}
     if set(shifts) != expected:
@@ -428,10 +469,8 @@ def _verify_coset(inst: HiddenCosetInstance) -> bool:
 
 
 def _verify_ghsh(inst: GhshInstance) -> bool:
-    elems = inst.group.elements()
-    for f in inst.functions:
-        values = [f.evaluate(g) for g in elems]
-        if len(set(values)) != len(values):
+    for table in inst.label_tables():
+        if len(set(table.values())) != len(table):
             return False
     shifts = inst.brute_shift_set()
     if len(shifts) != 1:

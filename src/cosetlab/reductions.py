@@ -57,8 +57,10 @@ def reduced_instance_to_json(source_json: dict) -> dict:
 def instance_from_json_any(data: dict, cap: int = DEFAULT_CAP):
     """Rebuild a planted instance, re-applying a recorded construction if any."""
     if "construction" in data:
-        source = instance_from_json(data["construction"]["source"], cap)
-        return reduce_instance(source)
+        source = data["construction"]["source"]
+        if not isinstance(source, dict):
+            raise ValueError("construction source must be an instance object")
+        return reduce_instance(instance_from_json(source, cap))
     return instance_from_json(data, cap)
 
 

@@ -47,6 +47,27 @@ def test_plant_hsp_reports_labels():
     assert report["instance_digest"]
 
 
+def test_commands_after_verification_read_each_label_once():
+    # Verification is a command's one labelling pass; the solver and the
+    # searches read the kernel and shift set it leaves behind.
+    coset = payload(run(["plant", "coset", "--group", "s4", "--subgroup", "(1 2 3)",
+                         "--shift", "(1 2)"]))
+    assert coset["counters"]["oracle_evaluations"] == 2 * 24  # f1 and f2, |G| each
+
+    planted = payload(run(["plant", "coset", "--group", "z4", "--subgroup", "2",
+                           "--shift", "1"]))
+    reduced = payload(run(["reduce"], stdin=json.dumps(planted["outputs"]["instance"])))
+    solved = payload(run(["solve"], stdin=json.dumps(reduced["outputs"]["instance"])))
+    assert solved["counters"]["oracle_evaluations"] == 32  # |Z4 wr Z2|
+
+    dihedral = payload(run(["plant", "hsp", "--group", "d60", "--subgroup", "r37s"]))
+    found = payload(run(["search-via-decision", "--smooth-bound", "5"],
+                        stdin=json.dumps(dihedral["outputs"]["instance"])))
+    assert found["outputs"]["shift_exponent"] == 37
+    # |D60| = 120 to verify, then the witness check reads r^37 s and the identity
+    assert found["counters"]["oracle_evaluations"] == 120 + 2
+
+
 def test_report_echoes_the_arguments_click_was_given():
     # sys.argv is the test runner's own; the report must not echo it.
     args = ["--seed", "5", "plant", "hsp", "--group", "s3", "--subgroup", "(1 2)"]
@@ -540,6 +561,17 @@ def test_check_rejects_bad_program_spec(spec):
     (["selftest", "--max-degree", "9"], None),
     ([], None),
     (["plant"], None),
+    (["solve"], '{"problem": "hsp", "construction": {"source": 5}}'),
+    (["reduce"], '{"problem": "hsp", "construction": {"source": "x"}}'),
+    (["search-via-decision"], '{"problem": "hsp", "construction": {"source": []}}'),
+    (["check"], '{"problem": "hsp", "construction": {"source": []}}'),
+    (["reduce"], json.dumps({
+        "problem": "orbit_coset", "phi1": 0,
+        "planted": {"shift": {"kind": "cyclic", "modulus": 4, "value": 1}},
+        "action": {"group": {"generators": [{"kind": "cyclic", "modulus": 4, "value": 1}],
+                             "identity": {"kind": "cyclic", "modulus": 4, "value": 0}},
+                   "states": ["s0", "s1", "s2", "s2"],
+                   "generator_images": [[1, 2, 3, 0]]}})),
 ])
 def test_invalid_input_exits_2_with_json_error(args, stdin, tmp_path):
     args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]

@@ -32,11 +32,11 @@ PIPELINES = [
     ("readme-z4-coset",
      [["plant", "coset", "--group", "z4", "--subgroup", "2", "--shift", "1"],
       ["reduce"], ["solve"]],
-     ["ea9db15d0f798767", "2bf83e61bc51ab8c", "66930acf814bd316"]),
+     ["ed2a52e6996e9c90", "2bf83e61bc51ab8c", "1bb6bd3196bda5c6"]),
     ("readme-d60-dihedral",
      [["plant", "hsp", "--group", "d60", "--subgroup", "r37s"],
       ["search-via-decision", "--smooth-bound", "5"]],
-     ["9b7500c7d39bc62c", "a654f32f1d20e5ed"]),
+     ["9b7500c7d39bc62c", "6ea3f1ec6d3a6194"]),
     ("readme-s3-check-always-trivial",
      [S3_C2, ["--seed", "1", "check", "--program", "buggy:always-trivial",
               "--k", "7", "--runs", "100"]],
@@ -51,7 +51,7 @@ PIPELINES = [
     ("s3-shift-search",
      [["plant", "coset", "--group", "s3", "--subgroup", "", "--shift", "(1 2 3)"],
       ["--seed", "4", "search-via-decision"]],
-     ["68570faa49efecfe", "52dc7c1bf5b61f51"]),
+     ["41b69deea3f4da75", "bb8486515bc20214"]),
     ("check-decision-bruteforce",
      [S3_C2, ["--seed", "5", "check", "--k", "3", "--runs", "2"]],
      ["d374655a4ae6faea", "13dedcb51adcfd90"]),
@@ -84,11 +84,11 @@ PIPELINES = [
     ("z5-shift-chain",
      [["plant", "ghsh", "--group", "z5", "--shift", "2", "--copies", "3"],
       ["reduce"], ["solve"]],
-     ["3b6edc3a4bafdb7a", "51a05a71c450f4bd", "bb4e9fdf675e848f"]),
+     ["f660234e3b8319fd", "51a05a71c450f4bd", "64428d562ff0ac88"]),
     ("cyclic4-orbit-coset",
      [["plant", "orbit-coset", "--action", "cyclic:4", "--phi1", "1", "--shift", "2"],
       ["reduce"], ["solve"]],
-     ["9219fe79a3648070", "6e839f5baa126602", "f3137d7acac5dcc3"]),
+     ["9219fe79a3648070", "6e839f5baa126602", "dad1b165de787110"]),
     ("two-orbit-disjoint",
      [["plant", "orbit-coset", "--action", "two-orbit:6:2:3", "--phi1", "1",
        "--shift", "none"],
@@ -97,19 +97,19 @@ PIPELINES = [
     ("s3-coset-solve",
      [["plant", "coset", "--group", "s3", "--subgroup", "(1 2)", "--shift", "(1 3)"],
       ["solve"]],
-     ["1da3465ca35ad5f6", "2e8cdf7865f502ee"]),
+     ["43372f7d26cbfc98", "29dc5c2f55c3c2f7"]),
     ("s3-shift-chain-solve",
      [["plant", "ghsh", "--group", "s3", "--shift", "(1 2 3)", "--copies", "3"], ["solve"]],
-     ["fc4feadc8a0188ef", "1cf64fd2d0939a73"]),
+     ["8875636edad7949c", "c78d6a9eefb81166"]),
     ("two-orbit-reduce",
      [["plant", "orbit-coset", "--action", "two-orbit:6:2:3", "--phi1", "3",
        "--shift", "4"],
       ["reduce"], ["solve"]],
-     ["6e95e5fbb57e0d56", "f6687c74e4838fd3", "1076c3299a04bc75"]),
+     ["6e95e5fbb57e0d56", "f6687c74e4838fd3", "fb41b79bdb347ff3"]),
     ("d12-dihedral-smooth-bound-3",
      [["plant", "hsp", "--group", "d12", "--subgroup", "r5s"],
       ["search-via-decision", "--smooth-bound", "3"]],
-     ["3f84e1ad83984ead", "7db8a7c849780527"]),
+     ["3f84e1ad83984ead", "ba318effca115935"]),
     ("check-decision-wrong-if-order-gt-6-seed-13",
      [S3_C2, ["--seed", "13", "check", "--flavor", "decision",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],

@@ -4,16 +4,18 @@ import random
 import pytest
 
 from cosetlab import groups
-from cosetlab.groups import (CyclicElement, close_under_op, cyclic_group,
-                             dihedral_group, element_key, group_op,
-                             symmetric_group)
+from cosetlab.checking import brute_coset_solve, brute_ghsh_solve
+from cosetlab.cli import parse_action
+from cosetlab.groups import (DEFAULT_CAP, CyclicElement, DihedralElement,
+                             close_under_op, cyclic_group, dihedral_group,
+                             element_key, group_op, symmetric_group)
 from cosetlab.instances import (GhshInstance, GroupAction, HspInstance,
                                 NoDisjointOrbitError, OracleFunction,
                                 PromiseViolationError, Side, instance_from_json,
                                 instance_to_json, plant_coset, plant_ghsh,
                                 plant_hsp, plant_orbit_coset, verify_promise)
 from cosetlab.perms import parse_cycles
-from cosetlab.reductions import hidden_coset_to_hsp
+from cosetlab.reductions import hidden_coset_to_hsp, reduce_instance
 
 
 def keys(elems):
@@ -234,10 +236,102 @@ def test_verify_coset_evaluates_identity_once():
     inst = plant_coset(z6, (CyclicElement(6, 3),), CyclicElement(6, 1))
     assert verify_promise(inst)
     n = z6.order()
-    # f1 once per element for the shift set, once per element plus once at
-    # the identity for the kernel; f2 at most once per (element, shift) pair
-    assert inst.f1.evaluations <= 2 * n + 1
-    assert inst.f2.evaluations <= n * n
+    # f1 and f2 are read once per element into the label tables; the shift
+    # set, the kernel and the solver read the tables
+    assert inst.f1.evaluations == n
+    assert inst.f2.evaluations == n
+    gens, shift = brute_coset_solve(inst)
+    assert element_key(shift) == element_key(CyclicElement(6, 1))
+    assert keys(close_under_op(gens, z6.identity)) == keys(
+        [CyclicElement(6, 0), CyclicElement(6, 3)])
+    assert (inst.f1.evaluations, inst.f2.evaluations) == (n, n)
+
+
+def test_verify_ghsh_reads_each_function_once_per_element():
+    s3 = symmetric_group(3)
+    u = parse_cycles("(1 2 3)", 3)
+    inst = plant_ghsh(s3, u, 3)
+    assert verify_promise(inst)
+    n = s3.order()
+    assert [f.evaluations for f in inst.functions] == [n, n, n]
+    assert brute_ghsh_solve(inst) == u
+    assert [f.evaluations for f in inst.functions] == [n, n, n]
+
+
+# -- the kernel a verification leaves cached ---------------------------------------
+
+
+def _assert_cached_kernel_is_streamed_kernel(build):
+    """A verified instance's cached kernel, read with no evaluation, equals
+    the kernel a fresh unverified copy streams, element for element and in
+    order."""
+    verified, fresh = build(), build()
+    assert verify_promise(verified)
+    before = verified.oracle.evaluations
+    cached = verified.kernel()
+    assert verified.oracle.evaluations == before
+    assert [element_key(g) for g in cached] == [element_key(g) for g in fresh.kernel()]
+
+
+def test_cached_kernel_matches_streamed_kernel_on_every_small_subgroup():
+    for group in (symmetric_group(3), symmetric_group(4)):
+        for side in (Side.LEFT, Side.RIGHT):
+            for gens in subgroup_list(group):
+                _assert_cached_kernel_is_streamed_kernel(
+                    lambda: plant_hsp(group, gens, side))
+
+
+def test_cached_kernel_matches_streamed_kernel_on_dihedral_reflections():
+    for n in (12, 60):
+        group = dihedral_group(n)
+        for a in range(n):
+            for side in (Side.LEFT, Side.RIGHT):
+                _assert_cached_kernel_is_streamed_kernel(
+                    lambda: plant_hsp(group, (DihedralElement(n, a, 1),), side))
+
+
+def test_cached_kernel_matches_streamed_kernel_on_golden_reductions():
+    z4, z5 = cyclic_group(4), cyclic_group(5)
+    sources = [
+        lambda: plant_coset(z4, (CyclicElement(4, 2),), CyclicElement(4, 1)),
+        lambda: plant_ghsh(z5, CyclicElement(5, 2), 3),
+        lambda: plant_orbit_coset(parse_action("cyclic:4", DEFAULT_CAP), 1,
+                                  CyclicElement(4, 2)),
+        lambda: plant_orbit_coset(parse_action("two-orbit:6:2:3", DEFAULT_CAP), 3,
+                                  CyclicElement(6, 4)),
+    ]
+    for source in sources:
+        _assert_cached_kernel_is_streamed_kernel(lambda: reduce_instance(source()))
+
+
+def test_failed_promise_leaves_no_cached_kernel():
+    rng = random.Random(19)
+    failed = 0
+    for inst in _hsp_cases(rng):
+        elems = inst.group.elements()
+        table = {element_key(g): inst.oracle.evaluate(g) for g in elems}
+        for corrupt in CORRUPTIONS:
+            case = _relabeled(inst.group, corrupt(table, rng), inst.side,
+                              inst.planted_subgroup)
+            if verify_promise(case):
+                continue
+            failed += 1
+            before = case.oracle.evaluations
+            case.kernel()
+            # Nothing was cached: the kernel streams, one evaluation per
+            # element plus the identity.
+            assert case.oracle.evaluations == before + len(elems) + 1
+    assert failed > 100
+    s3 = symmetric_group(3)
+    planted = plant_hsp(s3, (parse_cycles("(1 2)", 3),), Side.RIGHT)
+    # A kernel that is the planted subgroup, on cosets of the wrong side: the
+    # promise fails in the coset sweep, after the closure test passed.
+    relabeled = HspInstance(s3, planted.oracle, Side.LEFT,
+                            planted_subgroup=planted.planted_subgroup)
+    assert not verify_promise(relabeled)
+    before = relabeled.oracle.evaluations
+    relabeled.kernel()
+    assert relabeled.oracle.evaluations == before + s3.order() + 1
 
 
 # -- verify_promise against a literal pairwise reference ---------------------------

@@ -28,7 +28,7 @@ from .reductions import (InvalidKGeneratorsError, PairedOracle, StructuredHspIns
 from .search_decision import (DecisionAnswer, DecisionOracle,
                               OracleInconsistentError, QueryRecord,
                               build_hsp_search_plan, event_stamp, finish_hsp_search,
-                              hsp_search_via_decision, memoized_labels)
+                              hsp_search_via_decision)
 
 
 def trial_rng(master_seed: int, index: int) -> random.Random:
@@ -264,16 +264,16 @@ def require_checkable(inst) -> int:
 def _translate_trials(inst: HspInstance, k: int, seed: int) -> list[tuple]:
     """k ``(t, u, flat instance)`` trials over one flattened G wr Z_2.
 
-    G's chain (which drives the u draws), the flattened group and the memo f
-    is read through are built once; each trial builds only its translated,
-    paired and flattened oracle.  Through the memo, the k trials evaluate f
-    at most once per element of G between them.
+    G's chain (which drives the u draws) and the flattened group are built
+    once; each trial builds only its translated, paired and flattened oracle.
+    Every trial reads f through the instance's label store, so the k trials
+    evaluate f at most once per element of G between them, and not at all
+    once verification has filled the store.
     """
     n = inst.group.identity.degree
     chain = build_stabilizer_chain(inst.group.generators, n)
     flat_group = embed_wreath_group(wreath_group(inst.group, 2))
-    label = memoized_labels(inst.oracle)
-    return [(t, *_translated_instance(label, trial_rng(seed, t), chain, flat_group))
+    return [(t, *_translated_instance(inst.label, trial_rng(seed, t), chain, flat_group))
             for t in range(k)]
 
 
@@ -344,12 +344,13 @@ def checker_hspD(program: DecisionOracle, inst: HspInstance, k: int,
 
 def _rejected_claim(inst: HspInstance, claimed: Sequence[GroupElement]) -> str:
     """Why a claimed generator is not in the hidden subgroup, or "" when every
-    one shares the identity's label.  The claim is untrusted, so a generator
-    the oracle cannot even read is rejected, not raised."""
-    base_label = inst.oracle.evaluate(inst.group.identity)
+    one shares the identity's label, read through the instance's label
+    store.  The claim is untrusted, so a generator the store cannot even key
+    or the oracle read is rejected, not raised."""
+    base_label = inst.label(inst.group.identity)
     for s in claimed:
         try:
-            if inst.oracle.evaluate(s) != base_label:
+            if inst.label(s) != base_label:
                 return f"{s} is not in the hidden subgroup"
         except Exception as exc:
             return f"claimed generator {s} rejected: {exc}"

@@ -495,7 +495,8 @@ def check_cmd(ctx, path, program_text, flavor, k, runs):
     outputs = {"verdict": per_run[-1]["verdict"] if runs == 1 else None,
                "verdict_counts": counts, "runs": per_run}
     _emit_report(ctx, outputs,
-                 {"oracle_calls": sum(r["oracle_calls"] for r in per_run)},
+                 {"oracle_calls": sum(r["oracle_calls"] for r in per_run),
+                  **_counters(instance)},
                  _digest(data))
 
 

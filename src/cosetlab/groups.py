@@ -422,17 +422,24 @@ class FiniteGroup:
 
 
 def close_under_op(seeds: Iterable[GroupElement], identity: GroupElement,
-                   cap: int = DEFAULT_CAP) -> list[GroupElement]:
-    """Breadth-first closure from the identity, layers tie-broken by serialized form."""
-    gens = sorted(seeds, key=element_key)
+                   cap: int = DEFAULT_CAP,
+                   visit: Callable[[GroupElement, int, GroupElement], None] | None = None
+                   ) -> list[GroupElement]:
+    """Breadth-first closure from the identity, layers tie-broken by serialized
+    form.  ``visit(a, i, b)``, when given, sees every product the closure
+    composes, ``b = a seeds[i]``, once each; every ``a`` it is handed was
+    itself a ``b`` of an earlier call, or is the identity."""
+    gens = sorted(enumerate(seeds), key=lambda seed: element_key(seed[1]))
     seen = {identity}
     out = [identity]
     frontier = [identity]
     while frontier:
         nxt = []
         for a in frontier:
-            for g in gens:
+            for i, g in gens:
                 b = group_op(a, g)
+                if visit is not None:
+                    visit(a, i, b)
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)

@@ -20,7 +20,7 @@ from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, close_under_op,
                      element_from_json, element_key, element_to_json,
                      group_from_json, group_op, group_to_json, invert,
                      reduce_generators)
-from .perms import ExceedsCapError
+from .perms import ExceedsCapError, Permutation
 
 Label = Hashable
 
@@ -78,7 +78,7 @@ def _coset_label_table(elements: list[GroupElement], subgroup: list[GroupElement
     keyed by each member's serialized form.
 
     Sweeping the sorted element list guarantees the first unlabeled member of
-    a coset is its minimum, so the label is canonical.  Unlike the other
+    a coset is its minimum, so the label is canonical.  Unlike most
     element maps this one is keyed by ``element_key``: the planted oracles
     look it up with elements their callers have just built, and for flat
     shapes a key tuple hashes and compares in C, where an element would call
@@ -94,9 +94,40 @@ def _coset_label_table(elements: list[GroupElement], subgroup: list[GroupElement
     return table
 
 
+_MISS = object()
+
+
+def label_store(oracle: OracleFunction,
+                identity: GroupElement) -> Callable[[GroupElement], Label]:
+    """``oracle`` read through a store of its labels: the first read of an
+    element evaluates it, every later read of an equal element is a lookup.
+
+    The store is keyed by element value, chosen once from the group's
+    identity: a permutation's image tuple, which hashes and compares in C,
+    and the element itself for any other shape.
+    """
+    table: dict = {}
+    lookup = table.get
+    evaluate = oracle.evaluate
+    if isinstance(identity, Permutation):
+        def label(g: Permutation) -> Label:
+            hit = lookup(g.images, _MISS)
+            if hit is _MISS:
+                hit = table[g.images] = evaluate(g)
+            return hit
+    else:
+        def label(g: GroupElement) -> Label:
+            hit = lookup(g, _MISS)
+            if hit is _MISS:
+                hit = table[g] = evaluate(g)
+            return hit
+    return label
+
+
 class HspInstance:
     """A function constant on a hidden subgroup and distinct across its cosets
-    on the declared side."""
+    on the declared side.  ``label`` reads the oracle through the instance's
+    label store."""
 
     def __init__(self, group: FiniteGroup, oracle: OracleFunction, side: Side,
                  planted_subgroup: tuple[GroupElement, ...] | None = None):
@@ -104,6 +135,7 @@ class HspInstance:
         self.oracle = oracle
         self.side = side
         self.planted_subgroup = planted_subgroup
+        self.label = label_store(oracle, group.identity)
         self._kernel: list[GroupElement] | None = None
 
     def kernel(self) -> list[GroupElement]:
@@ -111,20 +143,13 @@ class HspInstance:
         hidden subgroup when the promise holds.  A verification that the
         promise holds leaves the kernel it found here.  Otherwise the oracle
         selects it from a stream of the group, so large structured groups are
-        never held in memory at once; cached after the first call."""
+        never held in memory at once (nor their labels in the store); cached
+        after the first call."""
         if self._kernel is None:
             oracle = self.oracle
             base = oracle.evaluate(self.group.identity)
             self._kernel = oracle.select(self.group.iter_elements(), base)
         return self._kernel
-
-
-def _label_tables(group: FiniteGroup,
-                  functions: Iterable[OracleFunction]) -> tuple[dict, ...]:
-    """Each function read once on every element of the group: one table per
-    function, keyed by element, in element order."""
-    elems = group.elements()
-    return tuple({g: f.evaluate(g) for g in elems} for f in functions)
 
 
 def relating_shifts(elements: list[GroupElement], f1: Callable[[GroupElement], Label],
@@ -155,22 +180,15 @@ class HiddenCosetInstance:
         self.f2 = f2
         self.planted_subgroup = planted_subgroup
         self.planted_shift = planted_shift
-        self._tables: tuple[dict, ...] | None = None
+        self.labels = (label_store(f1, group.identity), label_store(f2, group.identity))
         self._shifts: list[GroupElement] | None = None
 
-    def label_tables(self) -> tuple[dict, ...]:
-        """The tables of f1 and f2, each read once per element; cached."""
-        if self._tables is None:
-            self._tables = _label_tables(self.group, (self.f1, self.f2))
-        return self._tables
-
     def brute_shift_set(self) -> list[GroupElement]:
-        """Every valid shift, in element order, read off the label tables;
-        cached."""
+        """Every valid shift, in element order, read through the label stores;
+        cached.  When a shift exists, its candidate reads f2 on every
+        element, so both stores end up full."""
         if self._shifts is None:
-            t1, t2 = self.label_tables()
-            self._shifts = list(relating_shifts(self.group.elements(), t1.__getitem__,
-                                                t2.__getitem__))
+            self._shifts = list(relating_shifts(self.group.elements(), *self.labels))
         return self._shifts
 
 
@@ -184,7 +202,7 @@ class GhshInstance:
         self.group = group
         self.functions = functions
         self.planted_shift = planted_shift
-        self._tables: tuple[dict, ...] | None = None
+        self.labels = tuple(label_store(f, group.identity) for f in functions)
         self._shifts: list[GroupElement] | None = None
 
     @property
@@ -195,22 +213,15 @@ class GhshInstance:
         """Uniform access to the function family, 1-based index."""
         return self.functions[i - 1].evaluate(g)
 
-    def label_tables(self) -> tuple[dict, ...]:
-        """One table per function, each read once per element; cached."""
-        if self._tables is None:
-            self._tables = _label_tables(self.group, self.functions)
-        return self._tables
-
     def brute_shift_set(self) -> list[GroupElement]:
         """Every v with f_i(g) = f_{i+1}(v g) for all i and g, in element
-        order, read off the label tables; cached."""
+        order, read through the label stores; cached."""
         if self._shifts is None:
-            tables = self.label_tables()
-            pairs = tuple(zip(tables, tables[1:]))
+            pairs = tuple(zip(self.labels, self.labels[1:]))
             elems = self.group.elements()
             self._shifts = [v for v in elems
-                            if all(t[g] == nxt[group_op(v, g)]
-                                   for t, nxt in pairs for g in elems)]
+                            if all(label(g) == nxt(group_op(v, g))
+                                   for label, nxt in pairs for g in elems)]
         return self._shifts
 
 
@@ -237,15 +248,17 @@ class GroupAction:
         self.states = states
         self.generator_images = generator_images
         self._perms = perms = {group.identity: tuple(range(m))}
-        # Breadth-first, so an edge from an earlier element defines each one
-        # before the walk reaches it; every edge defines or checks its target.
-        for x in close_under_op(group.generators, group.identity, group.cap):
+
+        def extend(x: GroupElement, k: int, y: GroupElement) -> None:
+            # The closure reaches x before it composes x with a generator, so
+            # every edge defines or checks its target.  Left action:
+            # (x g) . s = x . (g . s).
             px = perms[x]
-            for g, row in zip(group.generators, generator_images):
-                # left action: (x g) . s = x . (g . s)
-                py = tuple([px[r] for r in row])
-                if perms.setdefault(group_op(x, g), py) != py:
-                    raise ValueError("generator table does not extend to a group action")
+            py = tuple([px[r] for r in generator_images[k]])
+            if perms.setdefault(y, py) != py:
+                raise ValueError("generator table does not extend to a group action")
+
+        close_under_op(group.generators, group.identity, group.cap, extend)
 
     def act(self, x: GroupElement, state: int) -> int:
         perm = self._perms.get(x)
@@ -370,10 +383,11 @@ def verify_promise(instance) -> bool:
     and the cosets of a subgroup partition the group, so each coset is
     checked once rather than once per member.
 
-    Verification reads each function once per element, and what it finds
-    stays with the instance for the solvers: a hidden-subgroup instance that
-    keeps its promise caches its kernel, and coset and shift-chain instances
-    cache their label tables and shift set.
+    Verification fills each function's label store, reading the function
+    once per element, and what it finds stays with the instance: every later
+    read of a label is a lookup, a hidden-subgroup instance that keeps its
+    promise caches its kernel, and coset and shift-chain instances cache
+    their shift set.
     """
     if isinstance(instance, HspInstance):
         return _verify_hsp(instance)
@@ -386,9 +400,6 @@ def verify_promise(instance) -> bool:
     raise TypeError(f"not an instance: {instance!r}")
 
 
-_MISSING = object()
-
-
 def _is_closed(kernel: list[GroupElement], kernel_set: set) -> bool:
     return all(group_op(a, b) in kernel_set for a in kernel for b in kernel)
 
@@ -398,19 +409,22 @@ def _verify_hsp(inst: HspInstance) -> bool:
     labels are constant on each of its cosets on the declared side, and no
     two cosets share a label.
 
-    Every element is evaluated exactly once.  A planted subgroup settles
-    closure: if the kernel equals the closure of the planted generators it is
-    a generated subgroup, and if not the promise fails, so the pairwise
-    closure check runs only without one.  Once the kernel is a subgroup its
-    cosets partition the group and ``xK = gK`` for every ``x`` in ``gK``, so
-    a single sweep that builds a coset only from an element no earlier coset
-    covered checks every coset exactly once.  When the promise holds, the
-    kernel, in element order, is left as the instance's cached kernel.
+    Filling the label store evaluates every element exactly once; the checks
+    read the store.  A planted subgroup settles closure: if the kernel equals
+    the closure of the planted generators it is a generated subgroup, and if
+    not the promise fails, so the pairwise closure check runs only without
+    one.  Once the kernel K is a subgroup, the elements sharing a label (the
+    label's fiber) are exactly one coset of K when the coset of any one of
+    them lies in the fiber and there are |G|/|K| fibers: each fiber then
+    holds at least |K| elements, and together they hold |G|.  When the
+    promise holds, the kernel, in element order, is left as the instance's
+    cached kernel.
     """
     elems = inst.group.elements()
-    labels = {g: inst.oracle.evaluate(g) for g in elems}
-    base = labels[inst.group.identity]
-    kernel = [g for g, lab in labels.items() if lab == base]
+    label = inst.label
+    labels = [label(g) for g in elems]
+    base = label(inst.group.identity)
+    kernel = [g for g, lab in zip(elems, labels) if lab == base]
     kernel_set = set(kernel)
     if inst.planted_subgroup is None:
         if not _is_closed(kernel, kernel_set):
@@ -427,20 +441,13 @@ def _verify_hsp(inst: HspInstance) -> bool:
             raise
         if set(planted) != kernel_set:
             return False
+    fibers = dict(zip(labels, elems))  # one member of each label's fiber
+    if len(fibers) * len(kernel) != len(elems):
+        return False
     left = inst.side is Side.LEFT
-    # Labels of the elements no checked coset covers yet; popping a member
-    # reads its label and marks it covered in one lookup.
-    uncovered = dict(labels)
-    seen_labels: set = set()
-    for g, lab in labels.items():
-        if g not in uncovered:
-            continue
-        if lab in seen_labels:
-            return False
-        seen_labels.add(lab)
+    for lab, g in fibers.items():
         for h in kernel:
-            member = group_op(g, h) if left else group_op(h, g)
-            if uncovered.pop(member, _MISSING) != lab:
+            if label(group_op(g, h) if left else group_op(h, g)) != lab:
                 return False
     inst._kernel = kernel
     return True
@@ -450,9 +457,9 @@ def _verify_coset(inst: HiddenCosetInstance) -> bool:
     shifts = inst.brute_shift_set()
     if not shifts:
         return False
-    labels = inst.label_tables()[0]
-    base = labels[inst.group.identity]
-    kernel = [g for g, lab in labels.items() if lab == base]
+    label = inst.labels[0]
+    base = label(inst.group.identity)
+    kernel = [g for g in inst.group.elements() if label(g) == base]
     v = shifts[0]
     expected = {group_op(h, v) for h in kernel}
     if set(shifts) != expected:
@@ -469,8 +476,9 @@ def _verify_coset(inst: HiddenCosetInstance) -> bool:
 
 
 def _verify_ghsh(inst: GhshInstance) -> bool:
-    for table in inst.label_tables():
-        if len(set(table.values())) != len(table):
+    elems = inst.group.elements()
+    for label in inst.labels:
+        if len({label(g) for g in elems}) != len(elems):
             return False
     shifts = inst.brute_shift_set()
     if len(shifts) != 1:

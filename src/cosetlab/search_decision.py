@@ -15,10 +15,10 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .groups import DihedralElement, FiniteGroup, dihedral_subgroup, wreath_group
-from .instances import HiddenCosetInstance, HspInstance, Label, OracleFunction, Side
+from .instances import HiddenCosetInstance, HspInstance, OracleFunction, Side
 from .perms import Permutation, StabilizerChain, build_stabilizer_chain
 from .reductions import (GammaSetStabilizer, PairedOracle, StructuredHspInstance,
                          SubgroupConstraint)
@@ -134,33 +134,13 @@ def _chain_level_group(group: FiniteGroup, chain: StabilizerChain,
                        known_order=chain.level_order(level), cap=group.cap)
 
 
-_MISS = object()
-
-
-def memoized_labels(oracle: OracleFunction) -> Callable[[Permutation], Label]:
-    """``oracle`` read through a memo keyed by element value, a permutation's
-    image tuple: each group element is evaluated at most once, however many
-    objects stand for it."""
-    memo: dict = {}
-    lookup = memo.get
-
-    def label(g: Permutation) -> Label:
-        hit = lookup(g.images, _MISS)
-        if hit is _MISS:
-            hit = memo[g.images] = oracle.evaluate(g)
-        return hit
-
-    return label
-
-
 @dataclass
 class HspSearchPlan:
-    """A sealed-to-be query family for one search, plus what reconstruction
-    needs: the instance and the memo its labels are read through."""
+    """A sealed-to-be query family for one search, plus the instance whose
+    label store the queries and the reconstruction read."""
 
     instance: HspInstance
     batch: QueryBatch
-    label: Callable[[Permutation], Label]
 
 
 def _plan_levels(group: FiniteGroup) -> tuple:
@@ -211,16 +191,16 @@ def build_hsp_search_plan(inst: HspInstance) -> HspSearchPlan:
     levels = group.derived("plan levels", lambda: _plan_levels(group))
     batch = QueryBatch()
     # Slot values repeat across the quadratically many wreath elements and
-    # across levels, so the search reads each element's label once.
-    label = memoized_labels(inst.oracle)
-    paired = PairedOracle(label, label, f"paired {inst.oracle.description}")
+    # across levels; through the instance's label store the search evaluates
+    # each element at most once, and none that verification already read.
+    paired = PairedOracle(inst.label, inst.label, f"paired {inst.oracle.description}")
     for wreath, prefixes in levels:
         base = HspInstance(wreath, paired, Side.LEFT)
         for pair, queries in prefixes:
             prefix = StructuredHspInstance(base, pair)
             for index, last in queries:
                 batch.add(index, StructuredHspInstance(prefix, (last,)))
-    return HspSearchPlan(inst, batch, label)
+    return HspSearchPlan(inst, batch)
 
 
 def reconstruct_from_answers(n: int, answers: dict) -> Permutation | None:
@@ -258,7 +238,7 @@ def finish_hsp_search(plan: HspSearchPlan, answers: dict) -> Permutation | None:
         return None
     if found.is_identity():
         raise OracleInconsistentError("assembled element is the identity")
-    if plan.label(found) != plan.label(inst.group.identity):
+    if inst.label(found) != inst.label(inst.group.identity):
         raise OracleInconsistentError("assembled element does not share the identity label")
     return found
 
@@ -293,8 +273,9 @@ def hsh_search_via_decision(hc: HiddenCosetInstance, oracle: DecisionOracle) -> 
     representative found at the deepest level applies first.  The assembled
     translate must satisfy f1(id) = f2(u); as f2 is injective only the true
     shift does, so a lying oracle raises OracleInconsistentError.  The
-    queries read f1 and f2 through one memo each, so the search evaluates
-    each function at most once per element before that final check.
+    queries and that check read f1 and f2 through the instance's label
+    stores, so the search evaluates each function at most once per element,
+    and not at all once verification has filled the stores.
     """
     group = hc.group
     identity = group.identity
@@ -302,8 +283,8 @@ def hsh_search_via_decision(hc: HiddenCosetInstance, oracle: DecisionOracle) -> 
         raise TypeError("shift search runs over permutation groups")
     n = identity.degree
     chain = build_stabilizer_chain(group.generators, n)
-    f1 = OracleFunction(memoized_labels(hc.f1))
-    label2 = memoized_labels(hc.f2)
+    label1, label2 = hc.labels
+    f1 = OracleFunction(label1)
     acc = Permutation.identity(n)
     for level in range(1, n + 1):
         level_group = _chain_level_group(group, chain, level)
@@ -322,7 +303,7 @@ def hsh_search_via_decision(hc: HiddenCosetInstance, oracle: DecisionOracle) -> 
         if found is None:
             raise OracleInconsistentError(f"no translate accepted at level {level}")
         acc = found.op(acc)
-    if hc.f1.evaluate(identity) != hc.f2.evaluate(acc):
+    if label1(identity) != label2(acc):
         raise OracleInconsistentError("assembled translate does not relate the two functions")
     return acc
 
@@ -379,7 +360,8 @@ def dihedral_search_via_decision(inst: HspInstance, bound: int,
     per candidate offset: does the hidden subgroup meet <r^(p^j), r^offset s>
     in more than the identity?  The residues combine by remaindering.  Total
     queries: sum of e_i * p_i.  The combined r^a s must share the identity's
-    label, read directly, or OracleInconsistentError is raised.
+    label, read through the instance's label store, or
+    OracleInconsistentError is raised.
     """
     ident = inst.group.identity
     if not isinstance(ident, DihedralElement):
@@ -407,6 +389,6 @@ def dihedral_search_via_decision(inst: HspInstance, bound: int,
         residues.append((known, p ** e))
     value, modulus = crt_combine(residues)
     assert modulus == n
-    if inst.oracle.evaluate(DihedralElement(n, value, 1)) != inst.oracle.evaluate(ident):
+    if inst.label(DihedralElement(n, value, 1)) != inst.label(ident):
         raise OracleInconsistentError(f"r^{value}s does not share the identity label")
     return value

@@ -328,7 +328,7 @@ def test_checker_counters_are_pinned(every_oracle):
     assert verdict.verdict == "CORRECT"
     assert program.calls == 1485
     # The whole-input kernel reads the identity and the 6 elements; the
-    # trial reads each of the 6 once more, through the call's label memo.
+    # trial reads each of the 6 once more, through the instance's label store.
     assert inst.oracle.evaluations == 7 + 6
     assert sum(f.evaluations for f in every_oracle) == 11042
 
@@ -341,7 +341,7 @@ def test_search_counters_are_pinned(every_oracle):
     found = hsp_search_via_decision(inst, program)
     assert found is not None and not found.is_identity()
     assert program.calls == 184
-    # Each of the 24 elements once, through the plan's label memo.
+    # Each of the 24 elements once, through the instance's label store.
     assert inst.oracle.evaluations == 24
     assert sum(f.evaluations for f in every_oracle) == 1259
 

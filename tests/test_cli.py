@@ -64,8 +64,30 @@ def test_commands_after_verification_read_each_label_once():
     found = payload(run(["search-via-decision", "--smooth-bound", "5"],
                         stdin=json.dumps(dihedral["outputs"]["instance"])))
     assert found["outputs"]["shift_exponent"] == 37
-    # |D60| = 120 to verify, then the witness check reads r^37 s and the identity
-    assert found["counters"]["oracle_evaluations"] == 120 + 2
+    # |D60| = 120 to verify; the witness check reads r^37 s and the identity
+    # from the label store verification filled.
+    assert found["counters"]["oracle_evaluations"] == 120
+
+
+@pytest.mark.parametrize("plant_args, args, expected", [
+    pytest.param(["plant", "hsp", "--group", "s4", "--subgroup", "(1 2)"],
+                 ["check", "--k", "3"], 24, id="s4-check-decision"),
+    pytest.param(["plant", "hsp", "--group", "s4", "--subgroup", "(1 2)"],
+                 ["check", "--flavor", "search", "--k", "3"], 24, id="s4-check-search"),
+    pytest.param(["plant", "coset", "--group", "s3", "--subgroup", "", "--shift", "(1 2 3)"],
+                 ["search-via-decision"], 2 * 6, id="s3-shift-search"),
+    pytest.param(["plant", "hsp", "--group", "s5", "--subgroup", "(1 2 3)"],
+                 ["search-via-decision"], 120, id="s5-truth-table-search"),
+])
+def test_searches_and_checks_read_only_what_verification_labelled(plant_args, args,
+                                                                  expected):
+    # Verification fills each planted function's label store; the search
+    # plans, the shift search's queries and witness check, the checker's
+    # claim check and its translate trials all read that store.
+    planted = payload(run(plant_args))
+    result = run(args, stdin=json.dumps(planted["outputs"]["instance"]))
+    assert result.exit_code == 0, result.output
+    assert payload(result)["counters"]["oracle_evaluations"] == expected
 
 
 def test_report_echoes_the_arguments_click_was_given():

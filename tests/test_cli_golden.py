@@ -28,7 +28,7 @@ PIPELINES = [
     ("readme-s3-querylog",
      [["plant", "hsp", "--group", "s3", "--subgroup", "(1 2 3)"],
       ["search-via-decision", "--emit-querylog"]],
-     ["64a82fa1d7d64a07", "d5f02a086214831f"]),
+     ["64a82fa1d7d64a07", "d7e7c65cda369109"]),
     ("readme-z4-coset",
      [["plant", "coset", "--group", "z4", "--subgroup", "2", "--shift", "1"],
       ["reduce"], ["solve"]],
@@ -36,51 +36,51 @@ PIPELINES = [
     ("readme-d60-dihedral",
      [["plant", "hsp", "--group", "d60", "--subgroup", "r37s"],
       ["search-via-decision", "--smooth-bound", "5"]],
-     ["9b7500c7d39bc62c", "6ea3f1ec6d3a6194"]),
+     ["9b7500c7d39bc62c", "222929bb9c5a15a9"]),
     ("readme-s3-check-always-trivial",
      [S3_C2, ["--seed", "1", "check", "--program", "buggy:always-trivial",
               "--k", "7", "--runs", "100"]],
-     ["d374655a4ae6faea", "e8afb20970917903"]),
+     ["d374655a4ae6faea", "b38c2e05d75d4f6e"]),
     ("s4-querylog",
      [["plant", "hsp", "--group", "s4", "--subgroup", "(1 2)(3 4)"],
       ["search-via-decision", "--emit-querylog"]],
-     ["2f288207a0368962", "7532e3e3a27970bc"]),
+     ["2f288207a0368962", "a1e4130023a8c965"]),
     ("s4-trivial-querylog",
      [["plant", "hsp", "--group", "s4"], ["search-via-decision", "--emit-querylog"]],
-     ["2cb5e3611a9cbc6b", "0083f4fdca55b312"]),
+     ["2cb5e3611a9cbc6b", "1adcb6e911913025"]),
     ("s3-shift-search",
      [["plant", "coset", "--group", "s3", "--subgroup", "", "--shift", "(1 2 3)"],
       ["--seed", "4", "search-via-decision"]],
-     ["41b69deea3f4da75", "bb8486515bc20214"]),
+     ["41b69deea3f4da75", "50cc8bae139de2cb"]),
     ("check-decision-bruteforce",
      [S3_C2, ["--seed", "5", "check", "--k", "3", "--runs", "2"]],
-     ["d374655a4ae6faea", "13dedcb51adcfd90"]),
+     ["d374655a4ae6faea", "82302bcdba283a0c"]),
     ("check-decision-bruteforce-trivial",
      [S3_TRIVIAL, ["--seed", "6", "check", "--k", "2"]],
-     ["f3bf7242b5f42ac5", "245d35e9f558dde9"]),
+     ["f3bf7242b5f42ac5", "c1907a231a11aa42"]),
     ("check-decision-always-nontrivial",
      [S3_TRIVIAL, ["--seed", "7", "check", "--program", "buggy:always-nontrivial",
                    "--k", "3", "--runs", "2"]],
-     ["f3bf7242b5f42ac5", "76b77296ec6e375b"]),
+     ["f3bf7242b5f42ac5", "5724ff78c09184ea"]),
     ("check-decision-flip",
      [S3_TRIVIAL, ["--seed", "8", "check", "--program", "buggy:flip:0.3",
                    "--k", "3", "--runs", "3"]],
-     ["f3bf7242b5f42ac5", "d66cd83a2329c87e"]),
+     ["f3bf7242b5f42ac5", "6842188fdc250899"]),
     ("check-search-bruteforce",
      [S3_C2, ["--seed", "9", "check", "--flavor", "search", "--k", "3"]],
-     ["d374655a4ae6faea", "957a037fe82ee441"]),
+     ["d374655a4ae6faea", "ac97afab085bf6a3"]),
     ("check-search-always-trivial",
      [S3_C2, ["--seed", "10", "check", "--flavor", "search",
               "--program", "buggy:always-trivial", "--k", "3", "--runs", "2"]],
-     ["d374655a4ae6faea", "d223abf14f3a7fa1"]),
+     ["d374655a4ae6faea", "c854855bae6bb65c"]),
     ("check-search-always-nontrivial",
      [S3_TRIVIAL, ["--seed", "11", "check", "--flavor", "search",
                    "--program", "buggy:always-nontrivial", "--k", "3", "--runs", "2"]],
-     ["f3bf7242b5f42ac5", "120eb7339020308b"]),
+     ["f3bf7242b5f42ac5", "2a3f2226e5a00144"]),
     ("check-search-flip",
      [S3_C2, ["--seed", "12", "check", "--flavor", "search",
               "--program", "buggy:flip:0.3", "--k", "3", "--runs", "3"]],
-     ["d374655a4ae6faea", "fd337a8bce82257b"]),
+     ["d374655a4ae6faea", "4a85652532ecf7ee"]),
     ("z5-shift-chain",
      [["plant", "ghsh", "--group", "z5", "--shift", "2", "--copies", "3"],
       ["reduce"], ["solve"]],
@@ -109,23 +109,23 @@ PIPELINES = [
     ("d12-dihedral-smooth-bound-3",
      [["plant", "hsp", "--group", "d12", "--subgroup", "r5s"],
       ["search-via-decision", "--smooth-bound", "3"]],
-     ["3f84e1ad83984ead", "ba318effca115935"]),
+     ["3f84e1ad83984ead", "81ef8a4650365f03"]),
     ("check-decision-wrong-if-order-gt-6-seed-13",
      [S3_C2, ["--seed", "13", "check", "--flavor", "decision",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
-     ["d374655a4ae6faea", "5945454cb46efb63"]),
+     ["d374655a4ae6faea", "165a07a43835e060"]),
     ("check-decision-wrong-if-order-gt-6-seed-14",
      [S3_C2, ["--seed", "14", "check", "--flavor", "decision",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
-     ["d374655a4ae6faea", "9144714c4ed088bb"]),
+     ["d374655a4ae6faea", "e9e92cb04531cf37"]),
     ("check-search-wrong-if-order-gt-6-seed-13",
      [S3_C2, ["--seed", "13", "check", "--flavor", "search",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
-     ["d374655a4ae6faea", "70476c8ad58a50da"]),
+     ["d374655a4ae6faea", "f13f24fb411dd48c"]),
     ("check-search-wrong-if-order-gt-6-seed-14",
      [S3_C2, ["--seed", "14", "check", "--flavor", "search",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
-     ["d374655a4ae6faea", "fc9ef51342633cdb"]),
+     ["d374655a4ae6faea", "f33513b4d8737959"]),
 ]
 
 

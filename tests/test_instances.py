@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cosetlab import groups
+from cosetlab import groups, instances
 from cosetlab.checking import brute_coset_solve, brute_ghsh_solve
 from cosetlab.cli import parse_action
 from cosetlab.groups import (DEFAULT_CAP, CyclicElement, DihedralElement,
@@ -160,6 +160,41 @@ def test_group_action_validation():
     with pytest.raises(ValueError):
         # 4-cycle on 3 states is not an action of Z_4's generator of order 4
         GroupAction(z4, ("x", "y", "z"), ((1, 2, 0),))
+
+
+def test_group_action_composes_each_generator_edge_once(monkeypatch):
+    # The action's table is built on the group's one closure, which composes
+    # each element with each generator once: |G| products per generator.
+    calls = []
+
+    def counting(x, y, _op=groups.group_op):
+        calls.append(1)
+        return _op(x, y)
+
+    for module in (groups, instances):
+        monkeypatch.setattr(module, "group_op", counting)
+    two_orbit_action(12, 4, 3)
+    assert len(calls) == 12
+    s4 = symmetric_group(4)
+    s4.elements()
+    calls.clear()
+    # S4 on the four points, one image row per generator.
+    act = GroupAction(s4, ("p1", "p2", "p3", "p4"),
+                      tuple(tuple(g.images[i] - 1 for i in range(4))
+                            for g in s4.generators))
+    assert len(calls) == 2 * 24
+    assert act.orbit(0) == {0, 1, 2, 3}
+    assert len(act.stabilizer_elements(0)) == 6
+
+
+def test_group_action_checks_repeated_generators():
+    z4 = cyclic_group(4)
+    g = CyclicElement(4, 1)
+    group = groups.FiniteGroup([g, g], z4.identity)
+    assert GroupAction(group, ("a", "b", "c", "d"), ((1, 2, 3, 0),) * 2).orbit(0) == {
+        0, 1, 2, 3}
+    with pytest.raises(ValueError, match="does not extend"):
+        GroupAction(group, ("a", "b", "c", "d"), ((1, 2, 3, 0), (3, 0, 1, 2)))
 
 
 def test_plant_orbit_coset_examples():

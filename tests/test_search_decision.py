@@ -9,7 +9,7 @@ from cosetlab.groups import (DihedralElement, FiniteGroup, close_under_op,
                              cyclic_group, dihedral_group, element_key, group_op,
                              invert, symmetric_group, wreath_group)
 from cosetlab.instances import (HiddenCosetInstance, HspInstance, Side, plant_coset,
-                                plant_hsp)
+                                plant_hsp, verify_promise)
 from cosetlab.perms import build_stabilizer_chain, parse_cycles
 from cosetlab.reductions import (GammaSetStabilizer, PairedOracle, StructuredHspInstance,
                                  embed_wreath_group)
@@ -18,7 +18,7 @@ from cosetlab.search_decision import (DecisionAnswer, NotSmoothError,
                                       build_hsp_search_plan, crt_combine,
                                       dihedral_search_via_decision,
                                       finish_hsp_search, hsh_search_via_decision,
-                                      hsp_search_via_decision, memoized_labels,
+                                      hsp_search_via_decision,
                                       reconstruct_from_answers, smooth_factorize)
 
 
@@ -132,7 +132,7 @@ def test_nested_plan_queries_match_flat_constraints():
                  for gens in subgroups_of(group)]
     s3 = symmetric_group(3)
     chain = build_stabilizer_chain(s3.generators, 3)
-    label = memoized_labels(plant_hsp(s3, (), Side.LEFT).oracle)
+    label = plant_hsp(s3, (), Side.LEFT).label
     instances.append(_translated_instance(label, random.Random(5), chain,
                                           embed_wreath_group(wreath_group(s3, 2)))[1])
     seen = set()
@@ -176,8 +176,7 @@ def _trial_instances(group, seeds):
     chain = build_stabilizer_chain(group.generators, n)
     flat_group = embed_wreath_group(wreath_group(group, 2))
     trivial = plant_hsp(group, (), Side.LEFT)
-    label = memoized_labels(trivial.oracle)
-    return flat_group, [_translated_instance(label, random.Random(seed), chain,
+    return flat_group, [_translated_instance(trivial.label, random.Random(seed), chain,
                                              flat_group)[1] for seed in seeds]
 
 
@@ -319,22 +318,38 @@ def test_search_requires_permutation_group():
         hsp_search_via_decision(inst, BruteForceDecisionOracle())
 
 
+def _verified(inst):
+    assert verify_promise(inst)
+    return inst
+
+
 def test_each_planted_label_is_read_once():
     """A truth-table search reads the planted oracle once per group element,
     and a checker call's translate trials read it at most once per element
     between them, so the count does not move with k.  A dihedral search
     reads the instance's kernel once (the identity, then every element) and
-    confirms its r^a s with two direct reads."""
+    confirms its r^a s with two reads through the label store.  Once
+    verification has filled the label store, every search and checker reads
+    only the store: |G| evaluations in all, 2|G| for the shift search's two
+    functions."""
     for n, shifts in ((12, range(12)), (60, (0, 37, 59)), (360, (0, 121, 359))):
         for a in shifts:
             inst = dihedral_instance(n, a)
             dihedral_search_via_decision(inst, 5, BruteForceDecisionOracle())
             assert inst.oracle.evaluations == inst.group.order() + 3, (n, a)
+            inst = _verified(dihedral_instance(n, a))
+            dihedral_search_via_decision(inst, 5, BruteForceDecisionOracle())
+            assert inst.oracle.evaluations == inst.group.order(), (n, a)
     for group in (symmetric_group(3), symmetric_group(4)):
+        for u in group.elements():
+            hc = _verified(plant_coset(group, (), u))
+            hsh_search_via_decision(hc, BruteForceShiftOracle())
+            assert hc.f1.evaluations + hc.f2.evaluations == 2 * group.order(), u
         for gens in subgroups_of(group):
-            inst = plant_hsp(group, gens, Side.LEFT)
-            hsp_search_via_decision(inst, BruteForceDecisionOracle())
-            assert inst.oracle.evaluations == group.order(), gens
+            for inst in (plant_hsp(group, gens, Side.LEFT),
+                         _verified(plant_hsp(group, gens, Side.LEFT))):
+                hsp_search_via_decision(inst, BruteForceDecisionOracle())
+                assert inst.oracle.evaluations == group.order(), gens
             for checker, program in ((checker_hspD, BruteForceDecisionOracle),
                                      (checker_hsp, BruteSearchProgram)):
                 for seed in range(3):
@@ -344,6 +359,11 @@ def test_each_planted_label_is_read_once():
                         checker(program(), inst, k, seed)
                         counts.append(inst.oracle.evaluations)
                     assert counts[0] == counts[1], (checker.__name__, gens, seed)
+                for k in (1, 5):
+                    inst = _verified(plant_hsp(group, gens, Side.LEFT))
+                    checker(program(), inst, k, 0)
+                    assert inst.oracle.evaluations == group.order(), (
+                        checker.__name__, gens, k)
 
 
 # -- shift search ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from .groups import (FiniteGroup, GroupElement, WreathElement,
                      close_under_op, element_key, group_op, invert,
                      reduce_generators, wreath_group, wreath_unembed)
 from .instances import (GhshInstance, HiddenCosetInstance, HspInstance, Label,
-                        OracleFunction, OrbitCosetInstance, Side, relating_shifts)
+                        OracleFunction, OrbitCosetInstance, Side)
 from .perms import (ExceedsCapError, Permutation, StabilizerChain,
                     build_stabilizer_chain, random_element)
 from .reductions import (InvalidKGeneratorsError, PairedOracle, StructuredHspInstance,
@@ -96,14 +96,13 @@ class BruteForceDecisionOracle(DecisionOracle):
 
 class BruteForceShiftOracle(DecisionOracle):
     """Answers hidden-coset decision records: NONTRIVIAL iff some element of
-    the record's group relates its two functions, found by trying each in
-    turn up to the first that does."""
+    the record's group relates its two functions, that is iff the record's
+    instance's own shift set, read through its label stores, is non-empty."""
 
     def _answer(self, query: QueryRecord) -> DecisionAnswer:
-        inst = query.instance
-        first = next(relating_shifts(inst.group.elements(), inst.f1.evaluate,
-                                     inst.f2.evaluate), None)
-        return DecisionAnswer.TRIVIAL if first is None else DecisionAnswer.NONTRIVIAL
+        if query.instance.brute_shift_set():
+            return DecisionAnswer.NONTRIVIAL
+        return DecisionAnswer.TRIVIAL
 
 
 class BruteSearchProgram(DecisionOracle):
@@ -245,7 +244,8 @@ def _translated_instance(label: Callable[[Permutation], Label], rng: random.Rand
     f2 = OracleFunction(lambda g: label(group_op(g, u_inv)),
                         description="translated labels")
     paired = PairedOracle(label, f2.evaluate, "paired coset functions")
-    return u, HspInstance(flat_group, embed_wreath_oracle(paired, chain.degree), Side.LEFT)
+    return u, HspInstance(flat_group, embed_wreath_oracle(paired.evaluate, chain.degree),
+                          Side.LEFT)
 
 
 def require_checkable(inst) -> int:

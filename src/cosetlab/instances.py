@@ -14,7 +14,7 @@ coset family uses ``f_1(g) = f_2(g u)`` (right convention).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable
 
 from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, close_under_op,
                      element_from_json, element_key, element_to_json,
@@ -152,18 +152,6 @@ class HspInstance:
         return self._kernel
 
 
-def relating_shifts(elements: list[GroupElement], f1: Callable[[GroupElement], Label],
-                    f2: Callable[[GroupElement], Label]) -> Iterator[GroupElement]:
-    """Each w of ``elements``, in order, with f1(g) = f2(g w) for every g of
-    ``elements``.  f1 is read on every element first; a candidate w stops at
-    its first mismatch, so a caller that takes only the first shift pays only
-    for the candidates before it."""
-    tagged = [(g, f1(g)) for g in elements]
-    for w in elements:
-        if all(lab == f2(group_op(g, w)) for g, lab in tagged):
-            yield w
-
-
 class HiddenCosetInstance:
     """Two functions related by right translation: f1(g) = f2(g u).
 
@@ -184,11 +172,15 @@ class HiddenCosetInstance:
         self._shifts: list[GroupElement] | None = None
 
     def brute_shift_set(self) -> list[GroupElement]:
-        """Every valid shift, in element order, read through the label stores;
-        cached.  When a shift exists, its candidate reads f2 on every
-        element, so both stores end up full."""
+        """Every w with f1(g) = f2(g w) for all g, in element order, read
+        through the label stores; cached.  f1 is read on every element first,
+        then each candidate reads f2 up to its first mismatch."""
         if self._shifts is None:
-            self._shifts = list(relating_shifts(self.group.elements(), *self.labels))
+            label1, label2 = self.labels
+            elems = self.group.elements()
+            tagged = [(g, label1(g)) for g in elems]
+            self._shifts = [w for w in elems
+                            if all(lab == label2(group_op(g, w)) for g, lab in tagged)]
         return self._shifts
 
 
@@ -210,7 +202,10 @@ class GhshInstance:
         return len(self.functions)
 
     def F(self, i: int, g: GroupElement) -> Label:
-        """Uniform access to the function family, 1-based index."""
+        """Uniform access to the function family, 1-based index: the raw
+        reference, which evaluates the function, not its label store."""
+        if not 1 <= i <= self.copies:
+            raise ValueError(f"function index {i} out of range 1..{self.copies}")
         return self.functions[i - 1].evaluate(g)
 
     def brute_shift_set(self) -> list[GroupElement]:

@@ -55,12 +55,16 @@ def reduced_instance_to_json(source_json: dict) -> dict:
 
 
 def instance_from_json_any(data: dict, cap: int = DEFAULT_CAP):
-    """Rebuild a planted instance, re-applying a recorded construction if any."""
+    """Rebuild a planted instance, re-applying a recorded construction if any;
+    a construction record must read as ``reduced_instance_to_json`` writes it."""
     if "construction" in data:
         source = data["construction"]["source"]
         if not isinstance(source, dict):
             raise ValueError("construction source must be an instance object")
-        return reduce_instance(instance_from_json(source, cap))
+        reduced = reduce_instance(instance_from_json(source, cap))
+        if data != reduced_instance_to_json(source):
+            raise ValueError("construction record does not match its source")
+        return reduced
     return instance_from_json(data, cap)
 
 
@@ -116,8 +120,8 @@ class PairedOracle(OracleFunction):
 def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
     """Pair the two functions over the two-slot wreath product.
 
-    The derived oracle evaluates (f1, f2) on the slots, swapping the pair when
-    the shift bit is set.  It is constant exactly on
+    The derived oracle reads (f1, f2) on the slots through the source's label
+    stores, swapping the pair when the shift bit is set.  It is constant on
     (H x u^-1 H u x {0}) u (u^-1 H x H u x {1}) and distinct on that
     subgroup's left cosets.
     """
@@ -134,7 +138,7 @@ def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
         gens.append(WreathElement((u_inv, u), 1))
         planted = tuple(gens)
 
-    oracle = PairedOracle(hc.f1.evaluate, hc.f2.evaluate, "paired coset functions")
+    oracle = PairedOracle(*hc.labels, "paired coset functions")
     return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=planted)
 
 
@@ -172,16 +176,17 @@ def recover_coset_solution(k_gens: Sequence[WreathElement]
 def ghsh_to_hsp(inst: GhshInstance) -> HspInstance:
     """Spread the function chain over the n-slot wreath product.
 
-    Component j of the derived oracle applies the function indexed by the
-    shifted slot position, so the n relations fold into constancy on right
-    cosets of the n-element cyclic subgroup generated by
+    Component j of the derived oracle reads the store of the function indexed
+    by the shifted slot position, so the n relations fold into constancy on
+    right cosets of the n-element cyclic subgroup generated by
     (u, ..., u, u^(1-n), 1).
     """
     n = inst.copies
     wreath = wreath_group(inst.group, n)
+    labels = inst.labels
 
     def spread(w: WreathElement) -> Label:
-        return tuple(inst.F(((j + w.shift) % n) + 1, w.slots[j]) for j in range(n))
+        return tuple(labels[(j + w.shift) % n](w.slots[j]) for j in range(n))
 
     planted = None
     if inst.planted_shift is not None:
@@ -194,8 +199,8 @@ def ghsh_to_hsp(inst: GhshInstance) -> HspInstance:
 
 
 def recover_ghsh_functions(reduced: HspInstance) -> Callable[[int, GroupElement], Label]:
-    """Uniform access to the original chain: component i of the derived oracle
-    at the diagonal shift-free element (g, ..., g, 0)."""
+    """Uniform access to the original chain: component i of the reduced
+    instance's stored label at the diagonal shift-free element (g, ..., g, 0)."""
     identity = reduced.group.identity
     if not isinstance(identity, WreathElement):
         raise TypeError("expected an instance over a wreath product")
@@ -204,8 +209,7 @@ def recover_ghsh_functions(reduced: HspInstance) -> Callable[[int, GroupElement]
     def F(i: int, g: GroupElement) -> Label:
         if not 1 <= i <= n:
             raise ValueError(f"function index {i} out of range 1..{n}")
-        value = reduced.oracle.evaluate(WreathElement((g,) * n, 0))
-        return value[i - 1]
+        return reduced.label(WreathElement((g,) * n, 0))[i - 1]
 
     return F
 
@@ -381,20 +385,20 @@ def embed_wreath_group(group: FiniteGroup) -> FiniteGroup:
         known_order=group.known_order, cap=group.cap)
 
 
-def embed_wreath_oracle(oracle: OracleFunction, rows: int) -> OracleFunction:
-    """An oracle over the wreath product, read on the doubled points of
-    ``rows`` rows: each flat permutation is unembedded, then evaluated."""
-    return OracleFunction(lambda p: oracle.evaluate(wreath_unembed(p, rows)),
-                          description=f"flattened {oracle.description}")
+def embed_wreath_oracle(read: Callable[[WreathElement], Label], rows: int) -> OracleFunction:
+    """A reader over the wreath product, read on the doubled points of
+    ``rows`` rows: each flat permutation is unembedded, then read."""
+    return OracleFunction(lambda p: read(wreath_unembed(p, rows)),
+                          description="flattened wreath labels")
 
 
 def embed_wreath_instance(inst: HspInstance) -> HspInstance:
     """Transport an instance over a two-slot wreath of permutations to the
     isomorphic permutation group on the doubled points: the flattened group
-    joined with the flattened oracle."""
+    joined with the instance's label store, flattened."""
     group = embed_wreath_group(inst.group)
     planted = None
     if inst.planted_subgroup is not None:
         planted = tuple(wreath_embed(w) for w in inst.planted_subgroup)
-    return HspInstance(group, embed_wreath_oracle(inst.oracle, group.identity.degree // 2),
+    return HspInstance(group, embed_wreath_oracle(inst.label, group.identity.degree // 2),
                        inst.side, planted_subgroup=planted)

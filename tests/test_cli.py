@@ -523,11 +523,17 @@ def test_promise_violation_exits_2():
 
 
 def test_selftest_runs_clean():
-    result = run(["selftest", "--suite", "checkers", "--max-degree", "3"])
+    # Every suite, the reductions suite included: it is the only command-line
+    # path through recover_ghsh_functions.
+    result = run(["selftest", "--suite", "all", "--max-degree", "4"])
     assert result.exit_code == 0
     rep = payload(result)
     assert rep["counters"]["total_failures"] == 0
-    names = {p["name"] for s in rep["outputs"]["suites"] for p in s["properties"]}
+    suites = {s["suite"]: s["properties"] for s in rep["outputs"]["suites"]}
+    assert set(suites) == {"algebra", "reductions", "search", "checkers"}
+    for suite, props in suites.items():
+        assert props and all(p["cases"] > 0 and p["failures"] == 0 for p in props), suite
+    names = {p["name"] for props in suites.values() for p in props}
     assert "decision-checker-completeness" in names
 
 
@@ -563,6 +569,12 @@ def test_check_rejects_bad_program_spec(spec):
     assert spec in error["error"]
 
 
+_S3_COSET = {"problem": "hidden_coset",
+             "group": {"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]},
+             "planted": {"shift": {"kind": "perm", "images": [3, 2, 1]},
+                         "subgroup": [{"kind": "perm", "images": [2, 1, 3]}]}}
+
+
 @pytest.mark.parametrize("args, stdin", [
     (["plant", "hsp", "--group", "s3", "--subgroup", "(1 5)"], None),
     (["plant", "hsp", "--group", "s0"], None),
@@ -594,6 +606,11 @@ def test_check_rejects_bad_program_spec(spec):
                              "identity": {"kind": "cyclic", "modulus": 4, "value": 0}},
                    "states": ["s0", "s1", "s2", "s2"],
                    "generator_images": [[1, 2, 3, 0]]}})),
+    (["solve"], json.dumps({"problem": "hsp",
+                            "construction": {"via": "bogus", "source": _S3_COSET}})),
+    (["solve"], json.dumps({"problem": "ghsh",
+                            "construction": {"via": "orbit-coset-to-hsp",
+                                             "source": _S3_COSET}})),
 ])
 def test_invalid_input_exits_2_with_json_error(args, stdin, tmp_path):
     args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]

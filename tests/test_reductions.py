@@ -1,16 +1,18 @@
 import itertools
 import json
+from functools import partial
 
 import pytest
 from click.testing import CliRunner
 
+from cosetlab.checking import brute_hsp_solve
 from cosetlab.cli import main
 from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
                              close_under_op, cyclic_group, element_from_json,
                              element_key, group_op, invert, symmetric_group,
                              wreath_embed, wreath_group)
-from cosetlab.instances import (GroupAction, HspInstance, OracleFunction, Side,
-                                plant_coset, plant_ghsh, plant_hsp,
+from cosetlab.instances import (GhshInstance, GroupAction, HspInstance, OracleFunction,
+                                Side, plant_coset, plant_ghsh, plant_hsp,
                                 plant_orbit_coset, verify_promise)
 from cosetlab.perms import Permutation, parse_cycles
 from cosetlab.reductions import (GammaSetStabilizer, InvalidKGeneratorsError,
@@ -18,7 +20,7 @@ from cosetlab.reductions import (GammaSetStabilizer, InvalidKGeneratorsError,
                                  embed_wreath_instance, ghsh_to_hsp,
                                  hidden_coset_to_hsp, orbit_coset_to_hsp,
                                  recover_coset_solution, recover_ghsh_functions,
-                                 recover_orbit_solution)
+                                 recover_orbit_solution, reduce_instance)
 from reference_groups import audit_oracle, gamma_point_image, product_group
 
 
@@ -217,8 +219,72 @@ def test_recover_ghsh_functions_exhaustive():
         for g in z5.elements():
             assert F(i, g) == source.F(i, g)
     assert F(2, CyclicElement(5, 3)) == source.F(2, CyclicElement(5, 3))
-    with pytest.raises(ValueError):
-        F(4, z5.identity)
+    for accessor in (F, source.F):
+        for i in (0, -1, 4):
+            with pytest.raises(ValueError):
+                accessor(i, z5.identity)
+
+
+# -- source reads ----------------------------------------------------------------------
+
+
+def _s4_class_representatives():
+    """One subgroup of S4 per conjugacy class, told apart by the multiset of
+    its members' cycle types."""
+    s4 = symmetric_group(4)
+    reps = {}
+    for gens in subgroups_of(s4):
+        members = close_under_op(gens, s4.identity)
+        shape = tuple(sorted(tuple(sorted(map(len, g.cycles()))) for g in members))
+        reps.setdefault(shape, gens)
+    assert len(reps) == 11
+    return list(reps.values())
+
+
+def _read_count_sources(family):
+    """Makers of fresh planted sources, one per case of ``family``."""
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    if family == "coset-s3":
+        return [partial(plant_coset, s3, gens, u)
+                for gens in subgroups_of(s3) for u in s3.elements()]
+    if family == "coset-s4":
+        shift = parse_cycles("(1 3)", 4)
+        return [partial(plant_coset, s4, gens, shift)
+                for gens in _s4_class_representatives()]
+    return [partial(plant_ghsh, group, parse_cycles(cycle, group.identity.degree), copies)
+            for group, cycle in ((s3, "(1 2 3)"), (s4, "(1 2 3 4)"))
+            for copies in (2, 3)]
+
+
+def _reads(source):
+    """The evaluation count of each of the source's functions."""
+    chain = isinstance(source, GhshInstance)
+    functions = source.functions if chain else (source.f1, source.f2)
+    return [f.evaluations for f in functions]
+
+
+def _reduce_verify_solve(source):
+    reduced = reduce_instance(source)
+    assert verify_promise(reduced)
+    assert brute_hsp_solve(reduced)  # every reduced hidden subgroup holds a slot shift
+
+
+@pytest.mark.parametrize("family", ["coset-s3", "coset-s4", "chain"])
+def test_reductions_read_sources_through_their_label_stores(family):
+    # The derived oracles read the source functions through the source's
+    # label stores: a verified source is not read again, and an unverified
+    # one is read once per element of G, however large the wreath product.
+    for make in _read_count_sources(family):
+        verified = make()
+        once = [verified.group.order()] * len(_reads(verified))
+        assert verify_promise(verified)
+        assert _reads(verified) == once
+        _reduce_verify_solve(verified)
+        assert _reads(verified) == once
+
+        fresh = make()
+        _reduce_verify_solve(fresh)
+        assert _reads(fresh) == once
 
 
 # -- paired-orbit construction -------------------------------------------------------

@@ -343,6 +343,9 @@ class FiniteGroup:
     breadth-first closure would be needlessly slow and materializing the
     list may be needlessly large).
 
+    ``member``, when provided, tests membership without listing the group
+    (the arithmetic of :func:`normal_form_group`).
+
     ``cap`` bounds every enumeration of the group; every group derived from
     this one (a wreath product, a flattening, a stabilizer level) takes it.
     """
@@ -350,13 +353,15 @@ class FiniteGroup:
     def __init__(self, generators: Iterable[GroupElement], identity: GroupElement,
                  name: str = "",
                  elements_hint: Callable[[], Iterable[GroupElement]] | None = None,
-                 known_order: int | None = None, cap: int = DEFAULT_CAP):
+                 known_order: int | None = None, cap: int = DEFAULT_CAP,
+                 member: Callable[[GroupElement], bool] | None = None):
         self.generators: tuple[GroupElement, ...] = tuple(generators)
         self.identity = identity
         self.name = name
         self.elements_hint = elements_hint
         self.known_order = known_order
         self.cap = cap
+        self.member = member
         self._elements: list[GroupElement] | None = None
         self._members: frozenset | None = None
         self._derived: dict = {}
@@ -412,6 +417,11 @@ class FiniteGroup:
         return sum(1 for _ in self.iter_elements())
 
     def contains(self, x: GroupElement) -> bool:
+        """Whether ``x`` is an element of the group; an element of another
+        shape or size is not.  Answered by the group's ``member`` test when it
+        has one, else by lookup in its element list, built on the first call."""
+        if self.member is not None:
+            return self.member(x)
         if self._members is None:
             self._members = frozenset(self.elements())
         return x in self._members
@@ -481,34 +491,67 @@ def symmetric_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
                        known_order=math.factorial(n), cap=cap)
 
 
+def normal_form_group(identity: CyclicElement | DihedralElement,
+                      generators: Iterable[GroupElement], name: str = "",
+                      cap: int = DEFAULT_CAP) -> FiniteGroup:
+    """The group that ``generators`` generate in Z_m or D_n (the shape of
+    ``identity``), in arithmetic normal form rather than by closure.
+
+    In Z_m it is <d>, with d = gcd(m, the generators' values).  In D_n it is
+    {r^(kd)}, joined by {r^(kd+c) s} when some generator is a reflection:
+    d = gcd(n, the rotation generators' exponents, the differences between
+    the reflection generators' exponents), since two reflections r^b s,
+    r^b' s multiply to r^(b - b'), and c is one reflection's exponent mod d.
+    The group knows its order, lists its elements in ``element_key`` order
+    and tests membership by arithmetic.  The generators must share the
+    identity's shape and size.
+    """
+    gens = tuple(generators)
+    if type(identity) is CyclicElement:
+        m = identity.modulus
+        d = math.gcd(m, *(g.value for g in gens))
+
+        def listing():
+            return [_cyclic(m, v) for v in range(0, m, d)]
+
+        def member(x) -> bool:
+            return type(x) is CyclicElement and x.modulus == m and x.value % d == 0
+
+        return FiniteGroup(gens, identity, name, listing, m // d, cap, member)
+    n = identity.rotations
+    reflections = [g.rot for g in gens if g.flip]
+    d = math.gcd(n, *(g.rot for g in gens if not g.flip),
+                 *(b - reflections[0] for b in reflections))
+    flips = (0, 1) if reflections else (0,)
+    c = reflections[0] % d if reflections else 0
+
+    def listing():
+        return [_dihedral(n, r + c * f, f) for f in flips for r in range(0, n, d)]
+
+    def member(x) -> bool:
+        return (type(x) is DihedralElement and x.rotations == n and x.flip in flips
+                and (x.rot - c * x.flip) % d == 0)
+
+    return FiniteGroup(gens, identity, name, listing, len(flips) * (n // d), cap, member)
+
+
 def cyclic_group(m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    gens = [CyclicElement(m, 1)] if m > 1 else []
-    return FiniteGroup(gens, CyclicElement(m, 0), name=f"Z{m}",
-                       elements_hint=lambda: [_cyclic(m, v) for v in range(m)],
-                       known_order=m, cap=cap)
+    return normal_form_group(CyclicElement(m, 0), [CyclicElement(m, 1)] if m > 1 else [],
+                             f"Z{m}", cap)
 
 
 def dihedral_group(n: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    gens = [DihedralElement(n, 1, 0), DihedralElement(n, 0, 1)]
-    return FiniteGroup(
-        gens, DihedralElement(n, 0, 0), name=f"D{n}",
-        elements_hint=lambda: [_dihedral(n, r, f) for f in (0, 1) for r in range(n)],
-        known_order=2 * n, cap=cap)
+    return normal_form_group(DihedralElement(n, 0, 0),
+                             [DihedralElement(n, 1, 0), DihedralElement(n, 0, 1)],
+                             f"D{n}", cap)
 
 
 def dihedral_subgroup(n: int, step: int, offset: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The subgroup <r^step, r^offset s> of the dihedral group of order 2n."""
     step, offset = step % n, offset % n
-    gens = [DihedralElement(n, step, 0), DihedralElement(n, offset, 1)]
-    count = n // math.gcd(step, n) if step else 1
-
-    def listing():
-        rots = sorted({(k * step) % n for k in range(count)})
-        return ([_dihedral(n, r, 0) for r in rots]
-                + [_dihedral(n, (r + offset) % n, 1) for r in rots])
-
-    return FiniteGroup(gens, _dihedral(n, 0, 0), name=f"<r^{step}, r^{offset}s>",
-                       elements_hint=listing, known_order=2 * count, cap=cap)
+    return normal_form_group(DihedralElement(n, 0, 0),
+                             [DihedralElement(n, step, 0), DihedralElement(n, offset, 1)],
+                             f"<r^{step}, r^{offset}s>", cap)
 
 
 def wreath_group(base: FiniteGroup, copies: int) -> FiniteGroup:
@@ -556,7 +599,8 @@ def group_to_json(g: FiniteGroup):
 
 def group_from_json(data, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Parse and validate a JSON group: the identity must be one, and every
-    generator must share its shape."""
+    generator must share its shape.  A cyclic or dihedral group is built in
+    normal form (:func:`normal_form_group`), any other by closure."""
     if "degree" in data:
         identity = Permutation.identity(data["degree"])
         gens = [Permutation(tuple(images)) for images in data["generators"]]
@@ -567,6 +611,8 @@ def group_from_json(data, cap: int = DEFAULT_CAP) -> FiniteGroup:
             raise ValueError(f"group identity {identity} is not an identity element")
     for g in gens:
         _check_shape(identity, g)
+    if type(identity) in (CyclicElement, DihedralElement):
+        return normal_form_group(identity, gens, cap=cap)
     return FiniteGroup(gens, identity, cap=cap)
 
 

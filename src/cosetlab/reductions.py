@@ -58,7 +58,10 @@ def instance_from_json_any(data: dict, cap: int = DEFAULT_CAP):
     """Rebuild a planted instance, re-applying a recorded construction if any;
     a construction record must read as ``reduced_instance_to_json`` writes it."""
     if "construction" in data:
-        source = data["construction"]["source"]
+        construction = data["construction"]
+        if not (isinstance(construction, dict) and "source" in construction):
+            raise ValueError("construction must be an object with a source")
+        source = construction["source"]
         if not isinstance(source, dict):
             raise ValueError("construction source must be an instance object")
         reduced = reduce_instance(instance_from_json(source, cap))
@@ -264,7 +267,9 @@ def recover_orbit_solution(k_gens: Sequence[WreathElement], oc: OrbitCosetInstan
 
 
 class SubgroupConstraint:
-    """Membership in a generated group, listed on the first test."""
+    """Membership in a generated group: by arithmetic for a cyclic or
+    dihedral group, else by lookup in the group's list, built on the first
+    test (see ``FiniteGroup.contains``)."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group

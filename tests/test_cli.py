@@ -611,6 +611,8 @@ _S3_COSET = {"problem": "hidden_coset",
     (["solve"], json.dumps({"problem": "ghsh",
                             "construction": {"via": "orbit-coset-to-hsp",
                                              "source": _S3_COSET}})),
+    (["solve"], '{"problem": "hsp", "construction": []}'),
+    (["solve"], '{"construction": {}}'),
 ])
 def test_invalid_input_exits_2_with_json_error(args, stdin, tmp_path):
     args = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in args]
@@ -655,6 +657,35 @@ def test_dihedral_search_rejects_a_hidden_subgroup_it_cannot_find(subgroup):
     code, error = _error_exit(["search-via-decision", "--smooth-bound", "3"], instance)
     assert code == 2
     assert "{id, r^a s}" in error["error"]
+
+
+def test_construction_without_a_source_is_named():
+    for stdin in ('{"problem": "hsp", "construction": []}', '{"construction": {}}'):
+        code, error = _error_exit(["solve"], stdin)
+        assert code == 2
+        assert error["error"] == "bad instance: construction must be an object with a source"
+
+
+@pytest.mark.parametrize("n, bound", [(12, 3), (60, 5)])
+@pytest.mark.parametrize("command", [["solve"], ["search-via-decision"]])
+def test_json_dihedral_group_enumerates_under_the_cap(n, bound, command):
+    # The JSON-loaded D_n knows its 2n elements without listing them; a cap
+    # of 2n - 1 refuses it, a cap of 2n takes it.
+    planted = payload(run(["plant", "hsp", "--group", f"d{n}", "--subgroup", "r7s"]))
+    stdin = json.dumps(planted["outputs"]["instance"])
+    if command == ["search-via-decision"]:
+        command = [*command, "--smooth-bound", str(bound)]
+    code, error = _error_exit(["--cap", str(2 * n - 1), *command], stdin)
+    assert code == 2
+    assert error["error"] == f"bad instance: group has {2 * n} elements, cap {2 * n - 1}"
+    result = run(["--cap", str(2 * n), *command], stdin)
+    assert result.exit_code == 0, result.output
+    outputs = payload(result)["outputs"]
+    if "shift_exponent" in outputs:
+        assert outputs["shift_exponent"] == 7
+    else:
+        assert outputs["subgroup_generators"] == [
+            {"kind": "dihedral", "rotations": n, "rot": 7, "flip": 1}]
 
 
 def test_action_closure_past_the_cap_exits_2():

@@ -1,9 +1,10 @@
 """Golden CLI transcripts: seeded commands whose stdout is pinned by digest.
 
 Each pipeline runs in process, feeding ``outputs.instance`` of one report to
-the next command on stdin.  A report's digest is the SHA-256 of its stdout
-with the ``elapsed_s`` line removed, so any change to a query, an answer, a
-counter or the report layout shows up here.  ``python tests/test_cli_golden.py``
+the next command on stdin; a pipeline may open with a hand-written instance,
+which is fed to its first command instead.  A report's digest is the SHA-256
+of its stdout with the ``elapsed_s`` line removed, so any change to a query,
+an answer, a counter or the report layout shows up here.  ``python tests/test_cli_golden.py``
 prints the pinned and fresh digests of every pipeline and names those that
 differ; it never rewrites this file.
 """
@@ -22,6 +23,28 @@ ELAPSED = re.compile(r'^\s*"elapsed_s": [-+.0-9e]+,?\n', re.M)
 
 S3_TRIVIAL = ["plant", "hsp", "--group", "s3"]
 S3_C2 = ["plant", "hsp", "--group", "s3", "--subgroup", "(1 2)"]
+
+
+def _dihedral(rot, flip=0, n=12):
+    return {"kind": "dihedral", "rotations": n, "rot": rot, "flip": flip}
+
+
+def _cyclic(value, m=12):
+    return {"kind": "cyclic", "modulus": m, "value": value}
+
+
+# Groups given by non-standard generators, so that their elements' closure
+# order differs from their key order: <r^8, r^6 s, r^10 s> = <r^4, r^2 s> of
+# order 6 in D12, and <8, 6> = <2> of order 6 in Z12.
+D12_SUBGROUP_HSP = {
+    "problem": "hsp", "side": "left",
+    "group": {"identity": _dihedral(0),
+              "generators": [_dihedral(8), _dihedral(6, 1), _dihedral(10, 1)]},
+    "planted": {"subgroup": [_dihedral(6, 1)]}}
+Z12_SUBGROUP_COSET = {
+    "problem": "hidden_coset",
+    "group": {"identity": _cyclic(0), "generators": [_cyclic(8), _cyclic(6)]},
+    "planted": {"subgroup": [_cyclic(6)], "shift": _cyclic(4)}}
 
 # (name, commands, digest of each command's stdout)
 PIPELINES = [
@@ -126,6 +149,17 @@ PIPELINES = [
      [S3_C2, ["--seed", "14", "check", "--flavor", "search",
               "--program", "buggy:wrong-if-order-gt:6", "--k", "3"]],
      ["d374655a4ae6faea", "f33513b4d8737959"]),
+    ("d12-coset-solve",
+     [["plant", "coset", "--group", "d12", "--subgroup", "r4,r3s", "--shift", "r5s"],
+      ["solve"]],
+     ["7253b555e0db1edd", "31b25b01ff7651e5"]),
+    ("d12-subgroup-json-solve", [D12_SUBGROUP_HSP, ["solve"]], ["8efb0653e9b14440"]),
+    ("d12-subgroup-json-dihedral-search",
+     [D12_SUBGROUP_HSP, ["search-via-decision", "--smooth-bound", "3"]], ["7ed15ee08036c667"]),
+    ("z12-subgroup-json-coset-solve", [Z12_SUBGROUP_COSET, ["solve"]], ["163ee3d8db56b590"]),
+    ("z12-subgroup-json-coset-reduce",
+     [Z12_SUBGROUP_COSET, ["reduce"], ["solve"]],
+     ["16e5198c72da5987", "acc2a13b68c5720a"]),
 ]
 
 
@@ -136,6 +170,9 @@ def stdout_digest(text: str) -> str:
 def run_pipeline(commands, monkeypatch):
     digests, stdin = [], None
     for args in commands:
+        if isinstance(args, dict):
+            stdin = json.dumps(args)
+            continue
         # Reports echo sys.argv, as a shell invocation would set it.
         monkeypatch.setattr(sys, "argv", ["cosetlab", *args])
         result = CliRunner().invoke(main, args, input=stdin)

@@ -10,8 +10,8 @@ from cosetlab.groups import (CyclicElement, DihedralElement, FiniteGroup,
                              element_from_json, element_key, element_pow,
                              element_to_json, enumerate_group, group_from_json,
                              group_op, group_to_json, identity_like, invert,
-                             symmetric_group, wreath_embed, wreath_group,
-                             wreath_unembed)
+                             normal_form_group, symmetric_group, wreath_embed,
+                             wreath_group, wreath_unembed)
 from cosetlab.perms import ExceedsCapError, Permutation, parse_cycles
 from reference_groups import product_group
 
@@ -316,3 +316,54 @@ def test_group_from_json_rejects_a_false_identity_and_mixed_shapes():
     mixed["generators"].append(element_to_json(DihedralElement(4, 1, 0)))
     with pytest.raises(ShapeMismatchError):
         group_from_json(mixed)
+
+
+def _foreign_elements(identity):
+    """Elements the group of ``identity`` never contains: other shapes, and
+    the same shape over another size."""
+    if isinstance(identity, CyclicElement):
+        m = identity.modulus
+        sized = [CyclicElement(m + 1, v) for v in range(m + 1)]
+        other = [DihedralElement(m, 0, 0), DihedralElement(m, 1, 1)]
+    else:
+        n = identity.rotations
+        sized = [DihedralElement(n + 1, r, f) for f in (0, 1) for r in range(n + 1)]
+        other = [CyclicElement(n, 0), CyclicElement(2 * n, 1)]
+    return sized + other + [Permutation.identity(2), wz4(0, 0, 0)]
+
+
+def _assert_normal_form_matches_closure(whole, gens):
+    identity = whole.identity
+    closure = close_under_op(gens, identity)
+    members = set(closure)
+    for group in (normal_form_group(identity, gens),
+                  group_from_json({"identity": element_to_json(identity),
+                                   "generators": [element_to_json(g) for g in gens]})):
+        elements = group.elements()
+        assert set(elements) == members and len(elements) == len(closure), gens
+        assert group.order() == len(closure), gens
+        assert [element_key(x) for x in elements] == sorted(map(element_key, closure))
+        for x in whole.elements():
+            assert group.contains(x) == (x in members), (gens, x)
+        for x in _foreign_elements(identity):
+            assert not group.contains(x), (gens, x)
+        back = group_from_json(json.loads(json.dumps(group_to_json(group))))
+        assert set(back.elements()) == members and back.order() == len(closure)
+
+
+def test_normal_form_matches_closure_on_every_generator_pair():
+    wholes = ([cyclic_group(m) for m in range(1, 13)]
+              + [dihedral_group(n) for n in range(1, 13)])
+    for whole in wholes:
+        _assert_normal_form_matches_closure(whole, [])
+        for a, b in itertools.combinations_with_replacement(whole.elements(), 2):
+            _assert_normal_form_matches_closure(whole, [a, b])
+
+
+def test_normal_form_matches_closure_on_seeded_pairs_of_d360():
+    d360 = dihedral_group(360)
+    rng = random.Random(360)
+    elements = d360.elements()
+    for _ in range(50):
+        _assert_normal_form_matches_closure(d360, rng.sample(elements, 2))
+

@@ -273,7 +273,12 @@ def _load_and_verify(path, cap):
         instance = instance_from_json_any(data, cap)
     except (ValueError, KeyError, TypeError, ExceedsCapError) as exc:
         raise InputError(f"bad instance: {exc}")
-    if not verify_promise(instance):
+    try:
+        kept = verify_promise(instance)
+    except ExceedsCapError as exc:
+        # An instance whose group verification lists first, past the cap.
+        raise InputError(f"bad instance: {exc}")
+    if not kept:
         raise InputError("instance violates its promise")
     return data, instance
 

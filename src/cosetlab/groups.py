@@ -21,44 +21,50 @@ are built without re-checking.  Equal elements are exactly those with equal
 elements are keyed by the elements themselves; ``element_key`` orders them
 and serves as a label (and keys the planted oracles' label tables, see
 :mod:`cosetlab.instances`).
+
+Cyclic and dihedral elements are named tuples of their fields, so they are
+built, hashed and compared in C.  They therefore also compare equal to plain
+tuples of the same fields (``CyclicElement(4, 1) == (4, 1)``); nothing in the
+library compares them that way, and no element equals one of another shape
+or a label, whose first field is a shape name.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
 from .perms import ExceedsCapError, Permutation, _perm, compose
 
 _new = object.__new__
-_set = object.__setattr__
+_tuple_new = tuple.__new__
 
 
 class ShapeMismatchError(ValueError):
     """Raised when two elements of incompatible shapes are combined."""
 
 
-@dataclass(frozen=True)
-class CyclicElement:
+class CyclicElement(namedtuple("CyclicElement", "modulus value")):
     """Residue in the additive group of integers mod ``modulus``."""
 
-    modulus: int
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not type(self.modulus) is type(self.value) is int:
-            raise ValueError(f"modulus and value must be integers: {self!r}")
-        if self.modulus < 1:
+    def __new__(cls, modulus: int, value: int):
+        if not type(modulus) is type(value) is int:
+            raise ValueError("modulus and value must be integers: "
+                             f"CyclicElement(modulus={modulus!r}, value={value!r})")
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        return _tuple_new(cls, (modulus, value % modulus))
 
     def op(self, other: "CyclicElement") -> "CyclicElement":
         m = self.modulus
         if type(other) is not CyclicElement or other.modulus != m:
             _check_shape(self, other)
-        return _cyclic(m, (self.value + other.value) % m)
+        return _tuple_new(CyclicElement, (m, (self.value + other.value) % m))
 
     def inverse(self) -> "CyclicElement":
         return _cyclic(self.modulus, -self.value % self.modulus)
@@ -76,33 +82,31 @@ class CyclicElement:
         return f"{self.value} (mod {self.modulus})"
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(namedtuple("DihedralElement", "rotations rot flip")):
     """Element r^rot s^flip of the dihedral group of order 2*rotations.
 
     Multiplication uses the relation s r = r^-1 s, so
     (a, b) * (c, d) = (a + (-1)^b c, b xor d).
     """
 
-    rotations: int
-    rot: int
-    flip: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not type(self.rotations) is type(self.rot) is type(self.flip) is int:
-            raise ValueError(f"rotations, rot and flip must be integers: {self!r}")
-        if self.rotations < 1:
+    def __new__(cls, rotations: int, rot: int, flip: int):
+        if not type(rotations) is type(rot) is type(flip) is int:
+            raise ValueError("rotations, rot and flip must be integers: DihedralElement("
+                             f"rotations={rotations!r}, rot={rot!r}, flip={flip!r})")
+        if rotations < 1:
             raise ValueError("rotation order must be positive")
-        if self.flip not in (0, 1):
+        if flip not in (0, 1):
             raise ValueError("flip must be 0 or 1")
-        object.__setattr__(self, "rot", self.rot % self.rotations)
+        return _tuple_new(cls, (rotations, rot % rotations, flip))
 
     def op(self, other: "DihedralElement") -> "DihedralElement":
-        n = self.rotations
+        n, a, b = self
         if type(other) is not DihedralElement or other.rotations != n:
             _check_shape(self, other)
-        rot = self.rot - other.rot if self.flip else self.rot + other.rot
-        return _dihedral(n, rot % n, self.flip ^ other.flip)
+        _, c, d = other
+        return _tuple_new(DihedralElement, (n, (a - c if b else a + c) % n, b ^ d))
 
     def inverse(self) -> "DihedralElement":
         if self.flip:
@@ -218,18 +222,11 @@ GroupElement = Union[Permutation, CyclicElement, DihedralElement, WreathElement,
 # Trusted constructors: the algebra's own results, already well formed.
 
 def _cyclic(modulus: int, value: int) -> CyclicElement:
-    x = _new(CyclicElement)
-    _set(x, "modulus", modulus)
-    _set(x, "value", value)
-    return x
+    return _tuple_new(CyclicElement, (modulus, value))
 
 
 def _dihedral(rotations: int, rot: int, flip: int) -> DihedralElement:
-    x = _new(DihedralElement)
-    _set(x, "rotations", rotations)
-    _set(x, "rot", rot)
-    _set(x, "flip", flip)
-    return x
+    return _tuple_new(DihedralElement, (rotations, rot, flip))
 
 
 def _wreath(slots: tuple, shift: int) -> WreathElement:
@@ -343,8 +340,10 @@ class FiniteGroup:
     breadth-first closure would be needlessly slow and materializing the
     list may be needlessly large).
 
-    ``member``, when provided, tests membership without listing the group
-    (the arithmetic of :func:`normal_form_group`).
+    ``member``, when provided, tests membership without listing the group,
+    and ``normal_form`` is the ``(d, c, reflects)`` of a group built by
+    :func:`normal_form_group` (None for any other group), which the planted
+    oracles read to label cosets by arithmetic.
 
     ``cap`` bounds every enumeration of the group; every group derived from
     this one (a wreath product, a flattening, a stabilizer level) takes it.
@@ -354,7 +353,8 @@ class FiniteGroup:
                  name: str = "",
                  elements_hint: Callable[[], Iterable[GroupElement]] | None = None,
                  known_order: int | None = None, cap: int = DEFAULT_CAP,
-                 member: Callable[[GroupElement], bool] | None = None):
+                 member: Callable[[GroupElement], bool] | None = None,
+                 normal_form: tuple[int, int, bool] | None = None):
         self.generators: tuple[GroupElement, ...] = tuple(generators)
         self.identity = identity
         self.name = name
@@ -362,6 +362,7 @@ class FiniteGroup:
         self.known_order = known_order
         self.cap = cap
         self.member = member
+        self.normal_form = normal_form
         self._elements: list[GroupElement] | None = None
         self._members: frozenset | None = None
         self._derived: dict = {}
@@ -438,7 +439,10 @@ def close_under_op(seeds: Iterable[GroupElement], identity: GroupElement,
     """Breadth-first closure from the identity, layers tie-broken by serialized
     form.  ``visit(a, i, b)``, when given, sees every product the closure
     composes, ``b = a seeds[i]``, once each; every ``a`` it is handed was
-    itself a ``b`` of an earlier call, or is the identity."""
+    itself a ``b`` of an earlier call, or is the identity, which counts
+    against ``cap`` like every other element."""
+    if cap < 1:
+        raise ExceedsCapError(f"closure exceeds cap {cap}")
     gens = sorted(enumerate(seeds), key=lambda seed: element_key(seed[1]))
     seen = {identity}
     out = [identity]
@@ -502,9 +506,10 @@ def normal_form_group(identity: CyclicElement | DihedralElement,
     d = gcd(n, the rotation generators' exponents, the differences between
     the reflection generators' exponents), since two reflections r^b s,
     r^b' s multiply to r^(b - b'), and c is one reflection's exponent mod d.
-    The group knows its order, lists its elements in ``element_key`` order
-    and tests membership by arithmetic.  The generators must share the
-    identity's shape and size.
+    The group knows its order, lists its elements in ``element_key`` order,
+    tests membership by arithmetic and keeps ``(d, c, reflects)`` as its
+    ``normal_form`` (c = 0 and no reflection in Z_m).  The generators must
+    share the identity's shape and size.
     """
     gens = tuple(generators)
     if type(identity) is CyclicElement:
@@ -512,12 +517,13 @@ def normal_form_group(identity: CyclicElement | DihedralElement,
         d = math.gcd(m, *(g.value for g in gens))
 
         def listing():
-            return [_cyclic(m, v) for v in range(0, m, d)]
+            return [_tuple_new(CyclicElement, (m, v)) for v in range(0, m, d)]
 
         def member(x) -> bool:
             return type(x) is CyclicElement and x.modulus == m and x.value % d == 0
 
-        return FiniteGroup(gens, identity, name, listing, m // d, cap, member)
+        return FiniteGroup(gens, identity, name, listing, m // d, cap, member,
+                           (d, 0, False))
     n = identity.rotations
     reflections = [g.rot for g in gens if g.flip]
     d = math.gcd(n, *(g.rot for g in gens if not g.flip),
@@ -526,13 +532,15 @@ def normal_form_group(identity: CyclicElement | DihedralElement,
     c = reflections[0] % d if reflections else 0
 
     def listing():
-        return [_dihedral(n, r + c * f, f) for f in flips for r in range(0, n, d)]
+        return [_tuple_new(DihedralElement, (n, r + c * f, f))
+                for f in flips for r in range(0, n, d)]
 
     def member(x) -> bool:
         return (type(x) is DihedralElement and x.rotations == n and x.flip in flips
                 and (x.rot - c * x.flip) % d == 0)
 
-    return FiniteGroup(gens, identity, name, listing, len(flips) * (n // d), cap, member)
+    return FiniteGroup(gens, identity, name, listing, len(flips) * (n // d), cap, member,
+                       (d, c, bool(reflections)))
 
 
 def cyclic_group(m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:

@@ -4,7 +4,10 @@ Every instance family wraps black-box value-labeled functions over a finite
 group.  Planted builders construct the oracle so the defining promise holds
 by construction; :func:`verify_promise` re-checks it by exhaustive
 enumeration.  Labels are opaque comparable tokens; the planted builders use
-the canonical serialized form of the least coset member.
+the canonical serialized form of the least coset member, computed by
+arithmetic over Z_m and D_n (whose elements are plain named tuples, equal to
+tuples of their fields though nothing here compares them so) and read from a
+table over any other group.
 
 Shift conventions differ per family and are carried explicitly: the n-function
 shift chain uses ``f_i(g) = f_{i+1}(u g)`` (left convention), the two-function
@@ -16,10 +19,10 @@ from __future__ import annotations
 import enum
 from typing import Callable, Hashable, Iterable
 
-from .groups import (DEFAULT_CAP, FiniteGroup, GroupElement, close_under_op,
-                     element_from_json, element_key, element_to_json,
-                     group_from_json, group_op, group_to_json, invert,
-                     reduce_generators)
+from .groups import (DEFAULT_CAP, CyclicElement, FiniteGroup, GroupElement,
+                     close_under_op, element_from_json, element_key,
+                     element_to_json, group_from_json, group_op, group_to_json,
+                     invert, normal_form_group, reduce_generators)
 from .perms import ExceedsCapError, Permutation
 
 Label = Hashable
@@ -80,9 +83,9 @@ def _coset_label_table(elements: list[GroupElement], subgroup: list[GroupElement
     Sweeping the sorted element list guarantees the first unlabeled member of
     a coset is its minimum, so the label is canonical.  Unlike most
     element maps this one is keyed by ``element_key``: the planted oracles
-    look it up with elements their callers have just built, and for flat
-    shapes a key tuple hashes and compares in C, where an element would call
-    its ``__hash__`` and ``__eq__`` in Python.
+    look it up with elements their callers have just built, and a key tuple
+    hashes and compares in C, where a permutation or a wreath element would
+    call its ``__hash__`` and ``__eq__`` in Python.
     """
     table: dict = {}
     for g in sorted(elements, key=element_key):
@@ -293,6 +296,43 @@ class OrbitCosetInstance:
 
 # -- planted builders -----------------------------------------------------------
 
+def _coset_label(group: FiniteGroup, subgroup_gens: tuple[GroupElement, ...],
+                 side: Side) -> Callable[[GroupElement], Label]:
+    """The planted labelling: g goes to the serialized form of the least
+    member of its coset, on ``side``, of the subgroup H the generators
+    generate.
+
+    In Z_m and D_n it is arithmetic on H's normal form (d, c, reflects), so
+    neither G nor H is listed.  The least member of a coset of H = <d> in Z_m
+    is v mod d.  For r^k s^f in D_n, a coset of rotations-only H keeps f and
+    has least rotation k mod d; a coset of an H with reflections holds
+    rotations, the least of them r^((k - f c) mod d) on the left, r^(k mod d)
+    for f = 0 and r^((c - k) mod d) for f = 1 on the right.  Any other group
+    is tabulated by :func:`_coset_label_table`, which lists H, then G.  Past
+    the cap, the arithmetic fails as those listings would.
+    """
+    cap = group.cap
+    if group.normal_form is None:
+        sub = close_under_op(subgroup_gens, group.identity, cap)
+        table = _coset_label_table(group.elements(), sub, side)
+        return lambda g: table[element_key(g)]
+    sub = normal_form_group(group.identity, subgroup_gens, cap=cap)
+    if sub.order() > cap:
+        raise ExceedsCapError(f"closure exceeds cap {cap}")
+    if group.order() > cap:
+        raise ExceedsCapError(f"group has {group.order()} elements, cap {cap}")
+    d, c, reflects = sub.normal_form
+    if type(group.identity) is CyclicElement:
+        m = group.identity.modulus
+        return lambda g: ("cyclic", m, g.value % d)
+    n = group.identity.rotations
+    if not reflects:
+        return lambda g: ("dihedral", n, g.flip, g.rot % d)
+    if side is Side.LEFT:
+        return lambda g: ("dihedral", n, 0, (g.rot - g.flip * c) % d)
+    return lambda g: ("dihedral", n, 0, (c - g.rot if g.flip else g.rot) % d)
+
+
 def plant_hsp(group: FiniteGroup, subgroup_gens: Iterable[GroupElement],
               side: Side = Side.LEFT) -> HspInstance:
     """Oracle labeling cosets of the subgroup by their least member."""
@@ -300,9 +340,7 @@ def plant_hsp(group: FiniteGroup, subgroup_gens: Iterable[GroupElement],
     for g in subgroup_gens:
         if not group.contains(g):
             raise PromiseViolationError(f"subgroup generator outside the group: {g}")
-    sub = close_under_op(subgroup_gens, group.identity, group.cap)
-    table = _coset_label_table(group.elements(), sub, side)
-    oracle = OracleFunction(lambda g: table[element_key(g)],
+    oracle = OracleFunction(_coset_label(group, subgroup_gens, side),
                             description=f"{side.value}-coset labels")
     return HspInstance(group, oracle, side, planted_subgroup=subgroup_gens)
 
@@ -320,11 +358,10 @@ def plant_coset(group: FiniteGroup, subgroup_gens: Iterable[GroupElement],
     for g in subgroup_gens:
         if not group.contains(g):
             raise PromiseViolationError(f"subgroup generator outside the group: {g}")
-    sub = close_under_op(subgroup_gens, group.identity, group.cap)
-    table = _coset_label_table(group.elements(), sub, Side.LEFT)
+    label = _coset_label(group, subgroup_gens, Side.LEFT)
     shift_inv = invert(shift)
-    f1 = OracleFunction(lambda g: table[element_key(g)], description="coset labels")
-    f2 = OracleFunction(lambda g: table[element_key(group_op(g, shift_inv))],
+    f1 = OracleFunction(label, description="coset labels")
+    f2 = OracleFunction(lambda g: label(group_op(g, shift_inv)),
                         description="translated coset labels")
     return HiddenCosetInstance(group, f1, f2, planted_subgroup=subgroup_gens,
                                planted_shift=shift)

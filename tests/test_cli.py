@@ -688,6 +688,36 @@ def test_json_dihedral_group_enumerates_under_the_cap(n, bound, command):
             {"kind": "dihedral", "rotations": n, "rot": 7, "flip": 1}]
 
 
+@pytest.mark.parametrize("plant, order", [
+    (["ghsh", "--group", "z12", "--shift", "5", "--copies", "3"], 12),
+    (["coset", "--group", "z12", "--subgroup", "4", "--shift", "1"], 12),
+    (["hsp", "--group", "d6", "--subgroup", "r2s", "--side", "right"], 12),
+])
+def test_cap_error_of_a_loaded_instance_is_a_bad_instance(plant, order):
+    # A shift chain meets the cap in verification, the others while they are
+    # parsed and planted; the error reads the same either way.
+    planted = payload(run(["plant", *plant]))
+    code, error = _error_exit(["--cap", str(order - 1), "solve"],
+                              json.dumps(planted["outputs"]["instance"]))
+    assert code == 2
+    assert error["error"] == f"bad instance: group has {order} elements, cap {order - 1}"
+
+
+@pytest.mark.parametrize("args, stdin, message", [
+    (["solve"], json.dumps({"problem": "hsp", "side": "left",
+                            "group": {"degree": 1, "generators": []},
+                            "planted": {"subgroup": []}}),
+     "bad instance: closure exceeds cap 0"),
+    (["plant", "hsp", "--group", "s1"], None, "closure exceeds cap 0"),
+    (["plant", "hsp", "--group", "z1"], None, "closure exceeds cap 0"),
+])
+def test_cap_zero_refuses_a_one_element_group(args, stdin, message):
+    # The identity counts against the cap, in a closure as in a listing.
+    code, error = _error_exit(["--cap", "0", *args], stdin)
+    assert code == 2
+    assert error["error"] == message
+
+
 def test_action_closure_past_the_cap_exits_2():
     code, error = _error_exit(["--cap", "3", "plant", "orbit-coset", "--action",
                                "cyclic:6"], None)

@@ -367,3 +367,58 @@ def test_normal_form_matches_closure_on_seeded_pairs_of_d360():
     for _ in range(50):
         _assert_normal_form_matches_closure(d360, rng.sample(elements, 2))
 
+
+def test_cyclic_and_dihedral_elements_are_values():
+    pool = _shape_pool()
+    labels = {element_key(x) for _, x in pool}
+    labels |= {(element_key(x), element_key(y)) for _, x in pool[:40] for _, y in pool[-40:]}
+    for shape, x in pool:
+        if not isinstance(x, (CyclicElement, DihedralElement)):
+            continue
+        # Built by the algebra, through JSON and by the constructor: one value.
+        again = type(x)(*x)
+        assert again == x and hash(again) == hash(x) and again is not x
+        assert not any(x == label for label in labels), x
+        assert not any(x == y for other, y in pool if other != shape), x
+    # A field tuple of another shape is no element of it.
+    assert CyclicElement(2, 1) != Permutation((2, 1))
+    assert DihedralElement(3, 2, 1) != Permutation((3, 2, 1))
+    assert CyclicElement(3, 1) != DihedralElement(3, 1, 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CyclicElement(True, 1),
+     "modulus and value must be integers: CyclicElement(modulus=True, value=1)"),
+    (lambda: CyclicElement(4, False),
+     "modulus and value must be integers: CyclicElement(modulus=4, value=False)"),
+    (lambda: CyclicElement(4, 1.0),
+     "modulus and value must be integers: CyclicElement(modulus=4, value=1.0)"),
+    (lambda: CyclicElement("4", 1),
+     "modulus and value must be integers: CyclicElement(modulus='4', value=1)"),
+    (lambda: CyclicElement(0, 1), "modulus must be positive"),
+    (lambda: CyclicElement(-3, 1), "modulus must be positive"),
+    (lambda: DihedralElement(True, 1, 0), "rotations, rot and flip must be integers: "
+     "DihedralElement(rotations=True, rot=1, flip=0)"),
+    (lambda: DihedralElement(4, 1, True), "rotations, rot and flip must be integers: "
+     "DihedralElement(rotations=4, rot=1, flip=True)"),
+    (lambda: DihedralElement(4, "1", 0), "rotations, rot and flip must be integers: "
+     "DihedralElement(rotations=4, rot='1', flip=0)"),
+    (lambda: DihedralElement(4.0, 1, 0), "rotations, rot and flip must be integers: "
+     "DihedralElement(rotations=4.0, rot=1, flip=0)"),
+    (lambda: DihedralElement(0, 1, 0), "rotation order must be positive"),
+    (lambda: DihedralElement(-1, 0, 5), "rotation order must be positive"),
+    (lambda: DihedralElement(4, 1, 2), "flip must be 0 or 1"),
+    (lambda: DihedralElement(4, 1, -1), "flip must be 0 or 1"),
+])
+def test_cyclic_and_dihedral_constructors_name_the_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_closure_counts_the_identity_against_the_cap():
+    for identity in (Permutation.identity(1), CyclicElement(1, 0)):
+        for cap in (0, -1):
+            with pytest.raises(ExceedsCapError, match=f"closure exceeds cap {cap}"):
+                close_under_op([], identity, cap)
+        assert close_under_op([], identity, 1) == [identity]

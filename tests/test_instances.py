@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -484,3 +485,67 @@ def test_verify_promise_matches_reference_on_foreign_planted_generators():
     case = HspInstance(s3, unclosed, Side.LEFT, planted_subgroup=foreign)
     assert reference_verify_hsp(case) is False
     assert verify_promise(case) is False
+
+
+# -- planted labels over Z_m and D_n ----------------------------------------------
+
+
+def _normal_form_plantings():
+    """Every Z_m (m <= 24) with a subgroup of each single element, and every
+    D_n (n <= 12) with a subgroup of each pair of elements."""
+    for m in range(1, 25):
+        group = cyclic_group(m)
+        for g in group.elements():
+            yield group, (g,)
+    for n in range(1, 13):
+        group = dihedral_group(n)
+        for pair in itertools.combinations_with_replacement(group.elements(), 2):
+            yield group, pair
+
+
+def test_arithmetic_coset_labels_match_the_table():
+    cases = 0
+    for group, gens in _normal_form_plantings():
+        elems = group.elements()
+        sub = close_under_op(gens, group.identity)
+        for side in (Side.LEFT, Side.RIGHT):
+            table = instances._coset_label_table(elems, sub, side)
+            oracle = plant_hsp(group, gens, side).oracle
+            for g in elems:
+                assert oracle.evaluate(g) == table[element_key(g)], (gens, side, g)
+            cases += 1
+    assert cases == 3356
+    # The translated function of a coset pair reads the same labels.
+    rng = random.Random(25)
+    for group, gens in _normal_form_plantings():
+        if rng.random() < 0.1:
+            u = rng.choice(group.elements())
+            table = instances._coset_label_table(
+                group.elements(), close_under_op(gens, group.identity), Side.LEFT)
+            hc = plant_coset(group, gens, u)
+            for g in group.elements():
+                assert hc.f1.evaluate(g) == table[element_key(g)]
+                assert hc.f2.evaluate(group_op(g, u)) == table[element_key(g)]
+
+
+def test_planting_over_cyclic_and_dihedral_groups_lists_no_group(monkeypatch):
+    listed = []
+    for name in ("elements", "iter_elements"):
+        method = getattr(groups.FiniteGroup, name)
+        monkeypatch.setattr(groups.FiniteGroup, name,
+                            lambda self, method=method, name=name:
+                            listed.append(name) or method(self))
+    for group, gens, shift in (
+            (cyclic_group(24), (CyclicElement(24, 9),), CyclicElement(24, 5)),
+            (dihedral_group(360), (DihedralElement(360, 121, 1),), DihedralElement(360, 7, 1)),
+            (dihedral_group(12), (DihedralElement(12, 4, 0),), DihedralElement(12, 3, 0))):
+        hint = group.elements_hint
+        hints = []
+        group.elements_hint = lambda: hints.append(1) or hint()
+        insts = [plant_hsp(group, gens, Side.LEFT), plant_hsp(group, gens, Side.RIGHT),
+                 plant_coset(group, gens, shift)]
+        assert listed == [] and hints == [], group
+        for inst in insts:
+            assert verify_promise(inst), (group, inst)
+        assert hints == [1], group
+        listed.clear()

@@ -255,12 +255,11 @@ def _emit_report(ctx, outputs: dict, counters: dict, digest: str | None) -> None
 
 
 def _counters(instance) -> dict:
-    """The summed evaluations of the instance's own oracles."""
+    """The summed evaluations of the instance's own oracles, and of the
+    source functions a reduced instance's verification reads."""
     if isinstance(instance, HspInstance):
-        oracles = (instance.oracle,)
-    elif isinstance(instance, HiddenCosetInstance):
-        oracles = (instance.f1, instance.f2)
-    elif isinstance(instance, GhshInstance):
+        oracles = (instance.oracle, *getattr(instance.source, "functions", ()))
+    elif isinstance(instance, (HiddenCosetInstance, GhshInstance)):
         oracles = instance.functions
     else:
         return {}

@@ -17,12 +17,13 @@ coset family uses ``f_1(g) = f_2(g u)`` (right convention).
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Callable, Hashable, Iterable
 
 from .groups import (DEFAULT_CAP, CyclicElement, FiniteGroup, GroupElement,
-                     close_under_op, element_from_json, element_key,
-                     element_to_json, group_from_json, group_op, group_to_json,
-                     invert, normal_form_group, reduce_generators)
+                     WreathElement, close_under_op, element_from_json,
+                     element_key, element_to_json, group_from_json, group_op,
+                     group_to_json, invert, normal_form_group, reduce_generators)
 from .perms import ExceedsCapError, Permutation
 
 Label = Hashable
@@ -40,12 +41,18 @@ class PromiseViolationError(ValueError):
 class OracleFunction:
     """Deterministic black-box function from group elements to labels.
 
-    Every evaluation is counted exactly.
+    Every evaluation is counted exactly.  A derived oracle over a wreath
+    product ``G wr Z_n`` carries its ``arrangement`` as data: for each shift
+    t, one ``(reader, component)`` pair per slot j, so that on an element of
+    shift t the label's ``component`` is ``reader`` of slot j.  It is None
+    for every other oracle.
     """
 
-    def __init__(self, fn: Callable[[GroupElement], Label], description: str = ""):
+    def __init__(self, fn: Callable[[GroupElement], Label], description: str = "",
+                 arrangement: tuple | None = None):
         self._fn = fn
         self.description = description
+        self.arrangement = arrangement
         self._count = 0
 
     def evaluate(self, g: GroupElement) -> Label:
@@ -130,14 +137,17 @@ def label_store(oracle: OracleFunction,
 class HspInstance:
     """A function constant on a hidden subgroup and distinct across its cosets
     on the declared side.  ``label`` reads the oracle through the instance's
-    label store."""
+    label store.  A reduced instance keeps the instance it was reduced from
+    as its ``source`` (None for any other)."""
 
     def __init__(self, group: FiniteGroup, oracle: OracleFunction, side: Side,
-                 planted_subgroup: tuple[GroupElement, ...] | None = None):
+                 planted_subgroup: tuple[GroupElement, ...] | None = None,
+                 source=None):
         self.group = group
         self.oracle = oracle
         self.side = side
         self.planted_subgroup = planted_subgroup
+        self.source = source
         self.label = label_store(oracle, group.identity)
         self._kernel: list[GroupElement] | None = None
 
@@ -173,6 +183,10 @@ class HiddenCosetInstance:
         self.planted_shift = planted_shift
         self.labels = (label_store(f1, group.identity), label_store(f2, group.identity))
         self._shifts: list[GroupElement] | None = None
+
+    @property
+    def functions(self) -> tuple[OracleFunction, OracleFunction]:
+        return (self.f1, self.f2)
 
     def brute_shift_set(self) -> list[GroupElement]:
         """Every w with f1(g) = f2(g w) for all g, in element order, read
@@ -289,6 +303,10 @@ class OrbitCosetInstance:
         self.phi0 = phi0
         self.phi1 = phi1
         self.planted_shift = planted_shift
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.action.group
 
     def orbits_intersect(self) -> bool:
         return self.phi0 in self.action.orbit(self.phi1)
@@ -413,7 +431,8 @@ def verify_promise(instance) -> bool:
     Hidden subgroup instances are checked exactly in one sweep: a planted
     subgroup whose closure equals the kernel proves the kernel is a subgroup,
     and the cosets of a subgroup partition the group, so each coset is
-    checked once rather than once per member.
+    checked once rather than once per member.  A reduced instance is checked
+    through its source (see :func:`_verify_reduced`).
 
     Verification fills each function's label store, reading the function
     once per element, and what it finds stays with the instance: every later
@@ -422,6 +441,8 @@ def verify_promise(instance) -> bool:
     their shift set.
     """
     if isinstance(instance, HspInstance):
+        if instance.source is not None:
+            return _verify_reduced(instance)
         return _verify_hsp(instance)
     if isinstance(instance, HiddenCosetInstance):
         return _verify_coset(instance)
@@ -436,73 +457,132 @@ def _is_closed(kernel: list[GroupElement], kernel_set: set) -> bool:
     return all(group_op(a, b) in kernel_set for a in kernel for b in kernel)
 
 
-def _verify_hsp(inst: HspInstance) -> bool:
-    """The kernel (elements labeled like the identity) is a subgroup, the
-    labels are constant on each of its cosets on the declared side, and no
-    two cosets share a label.
+def _is_generated(kernel: list[GroupElement], planted: tuple[GroupElement, ...] | None,
+                  group: FiniteGroup) -> bool:
+    """Whether ``kernel`` is the closure of the planted generators or, with
+    none planted, closed under the group operation."""
+    kernel_set = set(kernel)
+    if planted is None:
+        return _is_closed(kernel, kernel_set)
+    try:
+        closure = close_under_op(planted, group.identity, group.cap)
+    except (ExceedsCapError, ValueError):
+        # Planted generators of another shape, or a closure past the cap:
+        # an unclosed kernel still fails the promise before that is raised.
+        if not _is_closed(kernel, kernel_set):
+            return False
+        raise
+    return set(closure) == kernel_set
 
-    Filling the label store evaluates every element exactly once; the checks
+
+def _hsp_kernel(group: FiniteGroup, label: Callable[[GroupElement], Label], side: Side,
+                planted: tuple[GroupElement, ...] | None) -> list[GroupElement] | None:
+    """The subgroup ``label`` hides on ``side`` of ``group``, in element
+    order, or None when the labels break the promise: the kernel (elements
+    labeled like the identity) must be a subgroup, the labels constant on
+    each of its cosets on ``side``, and no two cosets may share a label.
+
+    Reading every element through ``label`` evaluates it once; the checks
     read the store.  A planted subgroup settles closure: if the kernel equals
     the closure of the planted generators it is a generated subgroup, and if
     not the promise fails, so the pairwise closure check runs only without
     one.  Once the kernel K is a subgroup, the elements sharing a label (the
     label's fiber) are exactly one coset of K when the coset of any one of
     them lies in the fiber and there are |G|/|K| fibers: each fiber then
-    holds at least |K| elements, and together they hold |G|.  When the
-    promise holds, the kernel, in element order, is left as the instance's
-    cached kernel.
+    holds at least |K| elements, and together they hold |G|.  A fiber's
+    member g is g e itself, so only the other members of K are composed.
     """
-    elems = inst.group.elements()
-    label = inst.label
+    elems = group.elements()
     labels = [label(g) for g in elems]
-    base = label(inst.group.identity)
+    identity = group.identity
+    base = label(identity)
     kernel = [g for g, lab in zip(elems, labels) if lab == base]
-    kernel_set = set(kernel)
-    if inst.planted_subgroup is None:
-        if not _is_closed(kernel, kernel_set):
-            return False
-    else:
-        try:
-            planted = close_under_op(inst.planted_subgroup, inst.group.identity,
-                                     inst.group.cap)
-        except (ExceedsCapError, ValueError):
-            # Planted generators of another shape, or a closure past the cap:
-            # an unclosed kernel still fails the promise before that is raised.
-            if not _is_closed(kernel, kernel_set):
-                return False
-            raise
-        if set(planted) != kernel_set:
-            return False
+    if not _is_generated(kernel, planted, group):
+        return None
     fibers = dict(zip(labels, elems))  # one member of each label's fiber
     if len(fibers) * len(kernel) != len(elems):
-        return False
-    left = inst.side is Side.LEFT
+        return None
+    others = [h for h in kernel if h != identity]
+    left = side is Side.LEFT
     for lab, g in fibers.items():
-        for h in kernel:
+        for h in others:
             if label(group_op(g, h) if left else group_op(h, g)) != lab:
-                return False
+                return None
+    return kernel
+
+
+def _verify_hsp(inst: HspInstance) -> bool:
+    """The literal check of :func:`_hsp_kernel` on the instance's own label
+    store.  When the promise holds, the kernel, in element order, is left as
+    the instance's cached kernel.  On a reduced instance it lists the whole
+    wreath product; it is kept as the reference that the tests and the
+    selftest check the reduction theorems, and so :func:`_verify_reduced`,
+    against."""
+    kernel = _hsp_kernel(inst.group, inst.label, inst.side, inst.planted_subgroup)
+    if kernel is None:
+        return False
     inst._kernel = kernel
     return True
 
 
+def _verify_reduced(inst: HspInstance) -> bool:
+    """A reduced instance keeps its promise when its source keeps its own:
+    the paper's reduction theorems carry the one to the other.  So its
+    source is verified exhaustively, and its kernel is the product of the
+    source's label fibers that the derived oracle's arrangement names for the
+    identity's label; that kernel must be the closure of the planted
+    generators, and is left cached.
+
+    No element of the wreath product ``G wr Z_n`` is listed, but past the cap
+    this fails as listing it would: with "group has N elements" when G knows
+    its order, else, once G is listed, with "group exceeds cap".
+    """
+    group = inst.group
+    base = inst.source.group
+    copies = group.identity.copies
+    if group.known_order is not None:
+        if group.known_order > group.cap:
+            raise ExceedsCapError(f"group has {group.known_order} elements, cap {group.cap}")
+    elif copies * len(base.elements()) ** copies > group.cap:
+        raise ExceedsCapError(f"group exceeds cap {group.cap}")
+    if not verify_promise(inst.source):
+        return False
+    kernel = _fiber_product(base.elements(), inst.oracle.arrangement,
+                            inst.label(group.identity))
+    if not _is_generated(kernel, inst.planted_subgroup, group):
+        return False
+    inst._kernel = kernel
+    return True
+
+
+def _fiber_product(base_elems: list[GroupElement], arrangement: tuple,
+                   label: Label) -> list[WreathElement]:
+    """The wreath elements an arranged oracle gives ``label``, in the order
+    the wreath product streams them: shift by shift, then the product of the
+    slots' fibers with slot 0 outermost, each fiber in base-element order."""
+    found: list[WreathElement] = []
+    for t, slots in enumerate(arrangement):
+        fibers = [[g for g in base_elems if read(g) == label[component]]
+                  for read, component in slots]
+        found.extend(WreathElement(prod, t) for prod in itertools.product(*fibers))
+    return found
+
+
 def _verify_coset(inst: HiddenCosetInstance) -> bool:
+    """f1 hides a subgroup K on left cosets, read through its label store
+    (the planted subgroup, if any), and the shift set is one coset K v."""
     shifts = inst.brute_shift_set()
     if not shifts:
         return False
-    label = inst.labels[0]
-    base = label(inst.group.identity)
-    kernel = [g for g in inst.group.elements() if label(g) == base]
+    kernel = _hsp_kernel(inst.group, inst.labels[0], Side.LEFT, inst.planted_subgroup)
+    if kernel is None:
+        return False
     v = shifts[0]
     expected = {group_op(h, v) for h in kernel}
     if set(shifts) != expected:
         return False
     if inst.planted_shift is not None:
         if inst.planted_shift not in expected:
-            return False
-    if inst.planted_subgroup is not None:
-        planted = close_under_op(inst.planted_subgroup, inst.group.identity,
-                                 inst.group.cap)
-        if set(planted) != set(kernel):
             return False
     return True
 

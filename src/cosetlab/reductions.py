@@ -3,7 +3,10 @@
 Each construction builds a derived oracle over a wreath product of the input
 group with a two- or n-fold cyclic slot shift, together with the generators
 of the subgroup the derived oracle provably hides (available when the source
-instance was planted).  Recovery maps run the constructions backwards.
+instance was planted).  The reduced instance keeps its source, and its
+derived oracle keeps its arrangement of the source's readers over the slots,
+so that verification checks the source and reads the reduced kernel off the
+source's label fibers.  Recovery maps run the constructions backwards.
 
 The intersection gadget represents a hidden-subgroup instance constrained by
 extra groups without materializing the direct product; solvers consume the
@@ -76,7 +79,8 @@ def instance_from_json_any(data: dict, cap: int = DEFAULT_CAP):
 
 class PairedOracle(OracleFunction):
     """Two functions paired over the slots of two-slot wreath elements:
-    (f1(a), f2(b)) on ((a, b), 0) and (f2(b), f1(a)) on ((a, b), 1).  Every
+    (f1(a), f2(b)) on ((a, b), 0) and (f2(b), f1(a)) on ((a, b), 1), which
+    is the arrangement ((f1, 0), (f2, 1)), ((f1, 1), (f2, 0)).  Every
     pairing is built this way: the hidden-coset and orbit-coset reductions,
     the checker trials and each level of the search-to-decision plan.
 
@@ -96,7 +100,8 @@ class PairedOracle(OracleFunction):
                 return (f1(a), f2(b))
             return (f2(b), f1(a))
 
-        super().__init__(paired, description)
+        super().__init__(paired, description,
+                         arrangement=(((f1, 0), (f2, 1)), ((f1, 1), (f2, 0))))
 
     def select(self, elements: Iterable[GroupElement], label: Label) -> list[GroupElement]:
         if not (isinstance(label, tuple) and len(label) == 2):
@@ -142,7 +147,7 @@ def hidden_coset_to_hsp(hc: HiddenCosetInstance) -> HspInstance:
         planted = tuple(gens)
 
     oracle = PairedOracle(*hc.labels, "paired coset functions")
-    return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=planted)
+    return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=planted, source=hc)
 
 
 def recover_coset_solution(k_gens: Sequence[WreathElement]
@@ -182,11 +187,15 @@ def ghsh_to_hsp(inst: GhshInstance) -> HspInstance:
     Component j of the derived oracle reads the store of the function indexed
     by the shifted slot position, so the n relations fold into constancy on
     right cosets of the n-element cyclic subgroup generated by
-    (u, ..., u, u^(1-n), 1).
+    (u, ..., u, u^(1-n), 1).  On shift t, slot j is read by
+    ``labels[(j + t) % n]`` into component j: that is the oracle's
+    arrangement.
     """
     n = inst.copies
     wreath = wreath_group(inst.group, n)
     labels = inst.labels
+    arrangement = tuple(tuple((labels[(j + t) % n], j) for j in range(n))
+                        for t in range(n))
 
     def spread(w: WreathElement) -> Label:
         return tuple(labels[(j + w.shift) % n](w.slots[j]) for j in range(n))
@@ -197,8 +206,9 @@ def ghsh_to_hsp(inst: GhshInstance) -> HspInstance:
         slots = tuple([u] * (n - 1) + [element_pow(u, 1 - n)])
         planted = (WreathElement(slots, 1),)
 
-    oracle = OracleFunction(spread, description="spread shift chain")
-    return HspInstance(wreath, oracle, Side.RIGHT, planted_subgroup=planted)
+    oracle = OracleFunction(spread, description="spread shift chain",
+                            arrangement=arrangement)
+    return HspInstance(wreath, oracle, Side.RIGHT, planted_subgroup=planted, source=inst)
 
 
 def recover_ghsh_functions(reduced: HspInstance) -> Callable[[int, GroupElement], Label]:
@@ -244,7 +254,7 @@ def orbit_coset_to_hsp(oc: OrbitCosetInstance) -> HspInstance:
 
     oracle = PairedOracle(lambda a: act.states[act.act(a, phi0)],
                           lambda b: act.states[act.act(b, phi1)], "paired orbit maps")
-    return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=tuple(gens))
+    return HspInstance(wreath, oracle, Side.LEFT, planted_subgroup=tuple(gens), source=oc)
 
 
 def recover_orbit_solution(k_gens: Sequence[WreathElement], oc: OrbitCosetInstance

@@ -16,7 +16,7 @@ from .checking import (BruteForceDecisionOracle, BruteForceShiftOracle, BugSpec,
 from .groups import (DihedralElement, FiniteGroup, close_under_op, cyclic_group,
                      dihedral_group, element_key, group_op, symmetric_group,
                      wreath_embed, wreath_group)
-from .instances import Side, plant_coset, plant_ghsh, plant_hsp, verify_promise
+from .instances import Side, _verify_hsp, plant_coset, plant_ghsh, plant_hsp
 from .perms import Permutation, build_stabilizer_chain, compose
 from .reductions import (ghsh_to_hsp, hidden_coset_to_hsp, recover_coset_solution,
                          recover_ghsh_functions)
@@ -135,7 +135,9 @@ def run_reductions_suite(max_degree: int, seed: int) -> list[PropertyResult]:
                               for i in range(1, copies + 1)
                               for g in group.elements()))
                 cases += 1
-                if not ok or not verify_promise(reduced):
+                # The literal check tests the reduction theorem, which
+                # verification through the source takes on trust.
+                if not ok or not _verify_hsp(reduced):
                     failures += 1
     results.append(PropertyResult("shift-chain-embedding", cases, failures))
     return results

@@ -55,7 +55,7 @@ PIPELINES = [
     ("readme-z4-coset",
      [["plant", "coset", "--group", "z4", "--subgroup", "2", "--shift", "1"],
       ["reduce"], ["solve"]],
-     ["ed2a52e6996e9c90", "2bf83e61bc51ab8c", "1bb6bd3196bda5c6"]),
+     ["ed2a52e6996e9c90", "ebdc6343d6a4e159", "f49d6a77a98bd7f9"]),
     ("readme-d60-dihedral",
      [["plant", "hsp", "--group", "d60", "--subgroup", "r37s"],
       ["search-via-decision", "--smooth-bound", "5"]],
@@ -107,11 +107,11 @@ PIPELINES = [
     ("z5-shift-chain",
      [["plant", "ghsh", "--group", "z5", "--shift", "2", "--copies", "3"],
       ["reduce"], ["solve"]],
-     ["f660234e3b8319fd", "51a05a71c450f4bd", "64428d562ff0ac88"]),
+     ["f660234e3b8319fd", "290107537f6401e1", "ecfc87583d0ae83a"]),
     ("cyclic4-orbit-coset",
      [["plant", "orbit-coset", "--action", "cyclic:4", "--phi1", "1", "--shift", "2"],
       ["reduce"], ["solve"]],
-     ["9219fe79a3648070", "6e839f5baa126602", "dad1b165de787110"]),
+     ["9219fe79a3648070", "f69a63e304cfe0b3", "67eda2d292b06c03"]),
     ("two-orbit-disjoint",
      [["plant", "orbit-coset", "--action", "two-orbit:6:2:3", "--phi1", "1",
        "--shift", "none"],
@@ -128,7 +128,7 @@ PIPELINES = [
      [["plant", "orbit-coset", "--action", "two-orbit:6:2:3", "--phi1", "3",
        "--shift", "4"],
       ["reduce"], ["solve"]],
-     ["6e95e5fbb57e0d56", "f6687c74e4838fd3", "fb41b79bdb347ff3"]),
+     ["6e95e5fbb57e0d56", "2062eb4004aae12d", "dd9125c73c1f041a"]),
     ("d12-dihedral-smooth-bound-3",
      [["plant", "hsp", "--group", "d12", "--subgroup", "r5s"],
       ["search-via-decision", "--smooth-bound", "3"]],
@@ -159,7 +159,7 @@ PIPELINES = [
     ("z12-subgroup-json-coset-solve", [Z12_SUBGROUP_COSET, ["solve"]], ["163ee3d8db56b590"]),
     ("z12-subgroup-json-coset-reduce",
      [Z12_SUBGROUP_COSET, ["reduce"], ["solve"]],
-     ["16e5198c72da5987", "acc2a13b68c5720a"]),
+     ["15a5b6b4d0b15ec6", "96bd9308309a0071"]),
 ]
 
 
@@ -186,6 +186,54 @@ def run_pipeline(commands, monkeypatch):
                          [p[1:] for p in PIPELINES], ids=[p[0] for p in PIPELINES])
 def test_golden_cli_output(commands, expected, monkeypatch):
     assert run_pipeline(commands, monkeypatch) == expected
+
+
+def _pipeline(name):
+    return next(commands for pipeline, commands, _ in PIPELINES if pipeline == name)
+
+
+def _invoke(args, stdin):
+    result = CliRunner().invoke(main, args, input=stdin)
+    return result.exit_code, json.loads(result.stdout.splitlines()[0] if result.exit_code
+                                        else result.stdout)
+
+
+S4_COSET = ["plant", "coset", "--group", "s4", "--subgroup", "(1 2 3 4),(1 2)",
+            "--shift", "(1 3)"]
+S3_CHAIN = ["plant", "ghsh", "--group", "s3", "--shift", "(1 2)", "--copies", "3"]
+
+
+@pytest.mark.parametrize("source, order, known", [
+    (_pipeline("readme-z4-coset")[0], 2 * 4 ** 2, True),
+    (_pipeline("z5-shift-chain")[0], 3 * 5 ** 3, True),
+    (_pipeline("cyclic4-orbit-coset")[0], 2 * 4 ** 2, True),
+    (_pipeline("two-orbit-reduce")[0], 2 * 6 ** 2, True),
+    (_pipeline("z12-subgroup-json-coset-reduce")[0], 2 * 6 ** 2, True),
+    (S4_COSET, 2 * 24 ** 2, False),
+    (S3_CHAIN, 3 * 6 ** 3, False),
+], ids=["readme-z4-coset", "z5-shift-chain", "cyclic4-orbit-coset", "two-orbit-reduce",
+        "z12-subgroup-json-coset-reduce", "s4-coset", "s3-chain-3"])
+def test_reduced_instance_fails_past_the_cap_as_its_listing_would(source, order, known):
+    # README promise 3: verification lists no wreath product G wr Z_n, but
+    # refuses one of n |G|^n elements at cap n |G|^n - 1 as the listing would,
+    # with "group has N elements" when G knows its order (a cyclic group
+    # does) and "group exceeds cap" when it does not (a permutation group
+    # given by generators).  solve adds the "bad instance: " prefix of a
+    # loaded instance; reduce, which verifies the source first, does not.
+    if isinstance(source, dict):
+        planted = source
+    else:
+        planted = json.loads(CliRunner().invoke(main, source).stdout)["outputs"]["instance"]
+    below = f"--cap={order - 1}"
+    text = (f"group has {order} elements, cap {order - 1}" if known
+            else f"group exceeds cap {order - 1}")
+    assert _invoke([below, "reduce"], json.dumps(planted)) == (2, {"error": text})
+    code, report = _invoke([f"--cap={order}", "reduce"], json.dumps(planted))
+    assert code == 0
+    reduced = json.dumps(report["outputs"]["instance"])
+    assert _invoke([below, "solve"], reduced) == (2, {"error": f"bad instance: {text}"})
+    code, report = _invoke([f"--cap={order}", "solve"], reduced)
+    assert code == 0 and report["outputs"]["subgroup_generators"]
 
 
 def digest_report() -> list[str]:

@@ -11,9 +11,9 @@ from cosetlab.groups import (CyclicElement, FiniteGroup, WreathElement,
                              close_under_op, cyclic_group, element_from_json,
                              element_key, group_op, invert, symmetric_group,
                              wreath_embed, wreath_group)
-from cosetlab.instances import (GhshInstance, GroupAction, HspInstance, OracleFunction,
-                                Side, plant_coset, plant_ghsh, plant_hsp,
-                                plant_orbit_coset, verify_promise)
+from cosetlab.instances import (GroupAction, HiddenCosetInstance, HspInstance,
+                                OracleFunction, Side, _verify_hsp, plant_coset,
+                                plant_ghsh, plant_hsp, plant_orbit_coset, verify_promise)
 from cosetlab.perms import Permutation, parse_cycles
 from cosetlab.reductions import (GammaSetStabilizer, InvalidKGeneratorsError,
                                  StructuredHspInstance, SubgroupConstraint,
@@ -97,6 +97,7 @@ def test_coset_reduction_promise_exhaustive():
                 reduced = hidden_coset_to_hsp(plant_coset(group, gens, u))
                 assert keys(reduced.kernel()) == kernel_formula(group, sub_elems, u)
                 assert verify_promise(reduced)
+                assert _verify_hsp(reduced)
 
 
 def test_s4_coset_pipeline_through_cli_recovers_kernel():
@@ -172,6 +173,7 @@ def test_ghsh_reduction_z5_example():
     assert keys(kernel) == closure_keys([gen], reduced.group.identity)
     assert reduced.side is Side.RIGHT
     assert verify_promise(reduced)
+    assert _verify_hsp(reduced)
 
 
 def test_ghsh_reduction_identity_shift():
@@ -207,6 +209,7 @@ def test_ghsh_promise_preserved_nonabelian():
             assert keys(kernel) == closure_keys(reduced.planted_subgroup,
                                                 reduced.group.identity)
             assert verify_promise(reduced)
+            assert _verify_hsp(reduced)
 
 
 def test_recover_ghsh_functions_exhaustive():
@@ -258,9 +261,7 @@ def _read_count_sources(family):
 
 def _reads(source):
     """The evaluation count of each of the source's functions."""
-    chain = isinstance(source, GhshInstance)
-    functions = source.functions if chain else (source.f1, source.f2)
-    return [f.evaluations for f in functions]
+    return [f.evaluations for f in source.functions]
 
 
 def _reduce_verify_solve(source):
@@ -337,6 +338,7 @@ def test_orbit_reduction_cyclic_shift():
     assert act.act(shift, inst.phi1) == inst.phi0
     assert stab == []
     assert verify_promise(reduced)
+    assert _verify_hsp(reduced)
 
 
 def test_orbit_reduction_kernel_matches_stabilizer_structure():
@@ -363,6 +365,79 @@ def test_orbit_reduction_kernel_matches_stabilizer_structure():
             assert keys(kernel) == closure_keys(reduced.planted_subgroup,
                                                 reduced.group.identity)
             assert verify_promise(reduced)
+            assert _verify_hsp(reduced)
+
+
+# -- reduced instances verified through their source ----------------------------------
+
+
+def _orbit_corpus():
+    """Criterion 3's orbit-coset instances."""
+    for n in (4, 6, 8, 12):
+        act = cyclic_action(n)
+        for shift in (0, 1, n // 2):
+            yield partial(plant_orbit_coset, act, 0, CyclicElement(n, shift))
+    for (n, a, b) in ((4, 4, 2), (6, 3, 2), (6, 6, 3), (12, 4, 3), (12, 6, 2)):
+        act = two_orbit_action(n, a, b)
+        yield partial(plant_orbit_coset, act, 0, None)
+        yield partial(plant_orbit_coset, act, 0, CyclicElement(n, 1))
+        yield partial(plant_orbit_coset, act, a, None)
+
+
+def _structured_corpus():
+    """Makers of fresh sources: every S3 coset instance, an S4 coset instance
+    per subgroup class (the full S4 among them), shift chains over S3, S4 and
+    Z4 to Z6 with 2 and 3 copies, and the orbit-coset corpus."""
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    makers = [partial(plant_coset, s3, gens, u)
+              for gens in subgroups_of(s3) for u in s3.elements()]
+    makers += [partial(plant_coset, s4, gens, parse_cycles("(1 3)", 4))
+               for gens in _s4_class_representatives()]
+    for group in (s3, cyclic_group(4), cyclic_group(5), cyclic_group(6)):
+        makers += [partial(plant_ghsh, group, u, copies)
+                   for u in group.elements() for copies in (2, 3)]
+    makers += [partial(plant_ghsh, s4, parse_cycles("(1 2 3 4)", 4), copies)
+               for copies in (2, 3)]
+    return makers + list(_orbit_corpus())
+
+
+def test_verification_through_the_source_matches_the_literal_check():
+    # The structured verdict and kernel are the literal ones, element for
+    # element and in stream order.
+    makers = _structured_corpus()
+    assert len(makers) == 36 + 11 + 2 * (6 + 4 + 5 + 6) + 2 + 27
+    for make in makers:
+        structured, literal = reduce_instance(make()), reduce_instance(make())
+        assert verify_promise(structured) is True
+        assert _verify_hsp(literal) is True
+        assert structured.kernel() == literal.kernel()
+
+
+@pytest.mark.parametrize("group, gens, u", [
+    (cyclic_group(4), (), CyclicElement(4, 1)),
+    (symmetric_group(3), (parse_cycles("(1 2)", 3),), parse_cycles("(1 2 3)", 3)),
+])
+def test_reduced_instance_of_a_non_separating_source_fails(group, gens, u):
+    # f1 gives two cosets of H the same label.  f2 = f1(. u^-1) still makes
+    # the shift set the coset H u, so only the check that f1 separates the
+    # cosets of its kernel, the hidden-coset promise, rejects the source.
+    label = plant_coset(group, gens, u).labels[0]
+    cosets = sorted({label(g) for g in group.elements()} - {label(group.identity)})
+    keep, merge = cosets[:2]
+
+    def merged(g):
+        lab = label(g)
+        return keep if lab == merge else lab
+
+    u_inv = invert(u)
+    f1 = OracleFunction(merged)
+    f2 = OracleFunction(lambda g: merged(group_op(g, u_inv)))
+    source = HiddenCosetInstance(group, f1, f2, planted_subgroup=gens, planted_shift=u)
+    assert keys(source.brute_shift_set()) == {element_key(group_op(h, u))
+                                             for h in close_under_op(gens, group.identity)}
+    assert not verify_promise(source)
+    assert not verify_promise(hidden_coset_to_hsp(source))
+    assert not _verify_hsp(hidden_coset_to_hsp(source))
 
 
 # -- intersection gadget -------------------------------------------------------------
